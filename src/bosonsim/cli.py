@@ -39,6 +39,11 @@ EXIT_SIZE = 3
 EXIT_DEGENERATE = 4
 EXIT_NONCONVERGENCE = 5
 
+# Largest --count for sample and point count for --delay-grid, checked
+# before anything is allocated.
+SAMPLE_COUNT_LIMIT = 10_000_000
+DELAY_GRID_LIMIT = 100_000
+
 
 def _load_network(path):
     """Compile a circuit file or read a matrix file; returns (unitary, sha256)."""
@@ -49,18 +54,11 @@ def _load_network(path):
     return u, io.sha256_file(path)
 
 
-def _parse_occupations(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, label: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"invalid occupation list {text!r}") from None
-
-
-def _parse_modes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"invalid mode list {text!r}") from None
+        raise ValueError(f"invalid {label} list {text!r}") from None
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -73,6 +71,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"invalid delay grid {text!r}") from None
     if count < 1:
         raise ValueError("delay grid needs at least one point")
+    if count > DELAY_GRID_LIMIT:
+        raise SizeLimitError(f"delay grid is capped at {DELAY_GRID_LIMIT} points, got {count}")
     return np.linspace(start, stop, count)
 
 
@@ -85,17 +85,19 @@ def cmd_permanent(args) -> None:
 
 def cmd_distribution(args) -> None:
     unitary, source_hash = _load_network(args.network_file)
-    input_state = _parse_occupations(args.input)
+    input_state = _parse_ints(args.input, "occupation")
     builder = collision_free_distribution if args.collision_free else full_distribution
     dist = builder(unitary, input_state)
     io.write_distribution(args.output, dist, source_hash)
 
 
 def cmd_sample(args) -> None:
+    if args.count > SAMPLE_COUNT_LIMIT:
+        raise SizeLimitError(f"sample count is capped at {SAMPLE_COUNT_LIMIT}, got {args.count}")
     unitary, _ = _load_network(args.network_file)
     states = sample(
         unitary,
-        _parse_occupations(args.input),
+        _parse_ints(args.input, "occupation"),
         args.count,
         args.seed,
         collision_free=args.collision_free,
@@ -104,16 +106,16 @@ def cmd_sample(args) -> None:
 
 
 def cmd_hom_scan(args) -> None:
+    grid = _parse_grid(args.delay_grid)
     unitary, source_hash = _load_network(args.network_file)
-    in_modes = _parse_modes(args.in_modes)
-    out_modes = _parse_modes(args.out_modes)
-    scan_modes = _parse_modes(args.scan_modes) if args.scan_modes else in_modes[1:]
+    in_modes = _parse_ints(args.in_modes, "mode")
+    out_modes = _parse_ints(args.out_modes, "mode")
+    scan_modes = _parse_ints(args.scan_modes, "mode") if args.scan_modes else in_modes[1:]
     unknown = set(scan_modes) - set(in_modes)
     if unknown:
         raise ValueError(f"scan modes {sorted(unknown)} are not input modes")
     if not scan_modes:
         raise ValueError("need at least one scanned mode")
-    grid = _parse_grid(args.delay_grid)
     configs = [
         DelayConfig(
             tuple(tau if mode in scan_modes else 0.0 for mode in in_modes), args.sigma

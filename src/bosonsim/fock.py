@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import CapacityError, DegeneratePostselectionError
 from .permanent import permanent_ryser
-from .unitary import is_unitary
+from .unitary import UNITARY_TOL, as_square_matrix, is_unitary
 
 BASIS_GUARD = 10_000_000
-UNITARY_TOL = 1e-8
 NORMALIZATION_TOL = 1e-10
 COLLISION_FREE_FLOOR = 1e-12
 
@@ -78,21 +77,9 @@ def enumerate_basis(m: int, n: int) -> list[tuple[int, ...]]:
     return states
 
 
-def _square_matrix(U) -> np.ndarray:
-    u = np.asarray(U, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    return u
-
-
-def build_submatrix(U, input_state, output_state) -> np.ndarray:
-    """The n x n matrix whose permanent gives the I -> O amplitude.
-
-    Columns of U are repeated by the input occupations (copies adjacent,
-    ascending mode index), then rows of that by the output occupations.
-    With single occupancies this is the plain row/column submatrix.
-    """
-    u = _square_matrix(U)
+def _transition(U, input_state, output_state):
+    """Validated (matrix, input occupations, output occupations) of one I -> O transition."""
+    u = as_square_matrix(U)
     inp = as_occupation(input_state)
     out = as_occupation(output_state)
     if len(inp) != u.shape[0] or len(out) != u.shape[0]:
@@ -102,29 +89,34 @@ def build_submatrix(U, input_state, output_state) -> np.ndarray:
         raise ValueError(f"photon numbers differ: input {n}, output {sum(out)}")
     if n < 1:
         raise ValueError("need at least one photon")
+    return u, inp, out
+
+
+def _submatrix(u, inp, out) -> np.ndarray:
     return np.repeat(np.repeat(u, inp, axis=1), out, axis=0)
 
 
+def build_submatrix(U, input_state, output_state) -> np.ndarray:
+    """The n x n matrix whose permanent gives the I -> O amplitude.
+
+    Columns of U are repeated by the input occupations (copies adjacent,
+    ascending mode index), then rows of that by the output occupations.
+    With single occupancies this is the plain row/column submatrix.
+    """
+    return _submatrix(*_transition(U, input_state, output_state))
+
+
 def _transition_probability(u, inp, out) -> float:
-    sub = np.repeat(np.repeat(u, inp, axis=1), out, axis=0)
-    per = permanent_ryser(sub)
+    per = permanent_ryser(_submatrix(u, inp, out))
     denom = _FACTORIAL[list(inp)].prod() * _FACTORIAL[list(out)].prod()
     return abs(per) ** 2 / denom
 
 
 def transition_probability(U, input_state, output_state) -> float:
     """P(I -> O) = |Per(U_IO)|^2 / (prod_k i_k! * prod_k j_k!)."""
-    u = _square_matrix(U)
+    u, inp, out = _transition(U, input_state, output_state)
     if not is_unitary(u, UNITARY_TOL):
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
-    inp = as_occupation(input_state)
-    out = as_occupation(output_state)
-    if len(inp) != u.shape[0] or len(out) != u.shape[0]:
-        raise ValueError("occupation length does not match the matrix dimension")
-    if sum(inp) != sum(out):
-        raise ValueError(f"photon numbers differ: input {sum(inp)}, output {sum(out)}")
-    if sum(inp) < 1:
-        raise ValueError("need at least one photon")
     return _transition_probability(u, inp, out)
 
 
@@ -160,7 +152,7 @@ class OutputDistribution:
 
 def full_distribution(U, input_state) -> OutputDistribution:
     """Probabilities of every n-photon output state for the given input."""
-    u = _square_matrix(U)
+    u = as_square_matrix(U)
     inp = as_occupation(input_state)
     if len(inp) != u.shape[0]:
         raise ValueError("occupation length does not match the matrix dimension")

@@ -20,15 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitError, UndefinedVisibilityError
-from .unitary import is_unitary
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
+from .unitary import UNITARY_TOL, as_square_matrix, is_unitary
 
 RATE_PHOTON_LIMIT = 7
-UNITARY_TOL = 1e-8
 OVERLAP_TOL = 1e-8
 CLASSICAL_RATE_FLOOR = 1e-12
 
@@ -117,10 +111,6 @@ def _rate_terms(a, s, perms):
     return total
 
 
-if numba is not None:
-    _rate_terms = numba.njit(cache=True)(_rate_terms)
-
-
 @functools.lru_cache(maxsize=None)
 def _permutations(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
@@ -141,9 +131,7 @@ def coincidence_rate(U, in_modes, out_modes, overlap) -> float:
     All-ones S reproduces |Per(A)|^2; identity S gives the permanent of
     the elementwise |A|^2 matrix (the classical rate).
     """
-    u = np.asarray(U, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    u = as_square_matrix(U)
     if not is_unitary(u, UNITARY_TOL):
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
     ins = _mode_tuple(in_modes, u.shape[0], "input")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -190,6 +191,8 @@ def _parse_observable_sections(path, sections, require_positive_sigma: bool):
             p, s = float(fields[2]), float(fields[3])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: invalid singles entry {line!r}") from None
+        if not (math.isfinite(p) and math.isfinite(s)):
+            raise ValueError(f"{path}:{lineno}: non-finite singles entry {line!r}")
         if not (1 <= j <= MODES and 1 <= k <= MODES):
             raise ValueError(f"{path}:{lineno}: modes outside 1..{MODES}")
         if not np.isnan(singles[j - 1, k - 1]):
@@ -215,6 +218,8 @@ def _parse_observable_sections(path, sections, require_positive_sigma: bool):
             value, s = float(fields[4]), float(fields[5])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: invalid visibility entry {line!r}") from None
+        if not (math.isfinite(value) and math.isfinite(s)):
+            raise ValueError(f"{path}:{lineno}: non-finite visibility entry {line!r}")
         if not all(1 <= x <= MODES for x in (a, b, c, d)):
             raise ValueError(f"{path}:{lineno}: modes outside 1..{MODES}")
         if a == b or c == d:

@@ -18,13 +18,17 @@ from scipy.optimize import least_squares
 
 from .circuit import TWO_PI, compile_circuit, default_topology, wrap_phases
 from .errors import NonConvergenceError, UndefinedVisibilityError
+from .interference import CLASSICAL_RATE_FLOOR
+from .unitary import as_square_matrix
 
 MODES = 5
 ETA_COUNT = 8
 PHI_COUNT = 11
-CLASSICAL_RATE_FLOOR = 1e-12
 UNDEFINED_PENALTY = 1e6
 DEFAULT_PAIR_COUNT = 40
+# Classical rates are compared at this many decimals when ranking pairs, so
+# rates that differ only by rounding noise tie and break lexicographically.
+PAIR_RANK_DECIMALS = 12
 
 Pair = tuple[int, int]
 PairSpec = tuple[Pair, Pair]
@@ -73,11 +77,19 @@ class MeasurementDataset:
         sigma = np.array(self.singles_sigma, dtype=float)
         if singles.shape != (MODES, MODES) or sigma.shape != (MODES, MODES):
             raise ValueError(f"singles blocks must be {MODES} x {MODES}")
+        records = tuple(self.visibilities)
+        for name, values in (
+            ("singles", singles),
+            ("singles_sigma", sigma),
+            ("visibilities", [(r.value, r.sigma) for r in records]),
+        ):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} values must be finite")
         singles.flags.writeable = False
         sigma.flags.writeable = False
         object.__setattr__(self, "singles", singles)
         object.__setattr__(self, "singles_sigma", sigma)
-        object.__setattr__(self, "visibilities", tuple(self.visibilities))
+        object.__setattr__(self, "visibilities", records)
 
     def visibility_pairs(self) -> list[PairSpec]:
         return [(r.in_pair, r.out_pair) for r in self.visibilities]
@@ -118,20 +130,29 @@ def _pair_index_arrays(pairs: list[PairSpec]):
     return i1, i2, o1, o2
 
 
+def _two_photon_rates(u, idx):
+    """Quantum (indistinguishable) and classical two-photon rates per indexed pair."""
+    i1, i2, o1, o2 = idx
+    direct = u[o1, i1] * u[o2, i2]
+    crossed = u[o1, i2] * u[o2, i1]
+    return np.abs(direct + crossed) ** 2, np.abs(direct) ** 2 + np.abs(crossed) ** 2
+
+
 def _network_unitary(etas, phis) -> np.ndarray:
     return compile_circuit(default_topology(etas, wrap_phases(phis)))
+
+
+def _checked_network(U) -> np.ndarray:
+    u = as_square_matrix(U)
+    if u.shape != (MODES, MODES):
+        raise ValueError(f"expected a {MODES} x {MODES} matrix, got shape {u.shape}")
+    return u
 
 
 def _predicted_rates(etas, phis, idx):
     """Singles matrix plus quantum/classical two-photon rates per pair."""
     u = _network_unitary(etas, phis)
-    singles = np.abs(u) ** 2
-    i1, i2, o1, o2 = idx
-    direct = u[o1, i1] * u[o2, i2]
-    crossed = u[o1, i2] * u[o2, i1]
-    quantum = np.abs(direct + crossed) ** 2
-    classical = np.abs(direct) ** 2 + np.abs(crossed) ** 2
-    return singles, quantum, classical
+    return np.abs(u) ** 2, *_two_photon_rates(u, idx)
 
 
 def _vis_from_rates(quantum, classical) -> np.ndarray:
@@ -256,21 +277,16 @@ def default_visibility_pairs(U, count: int = DEFAULT_PAIR_COUNT) -> list[PairSpe
     """The ``count`` (input, output) pair combinations with the largest classical rate.
 
     Strong classical rates give the best signal-to-noise for visibility
-    measurements; ties break on the lexicographically smallest pair.
+    measurements.  Rates are ranked at PAIR_RANK_DECIMALS decimals, and ties
+    break on the lexicographically smallest pair.
     """
-    u = np.asarray(U, dtype=np.complex128)
-    if u.shape != (MODES, MODES):
-        raise ValueError(f"expected a {MODES} x {MODES} matrix, got shape {u.shape}")
-    ranked = []
-    for in_pair in itertools.combinations(range(1, MODES + 1), 2):
-        for out_pair in itertools.combinations(range(1, MODES + 1), 2):
-            (a, b), (c, d) = in_pair, out_pair
-            direct = u[c - 1, a - 1] * u[d - 1, b - 1]
-            crossed = u[c - 1, b - 1] * u[d - 1, a - 1]
-            classical = abs(direct) ** 2 + abs(crossed) ** 2
-            ranked.append((-classical, in_pair, out_pair))
-    ranked.sort()
-    return [(in_pair, out_pair) for _, in_pair, out_pair in ranked[:count]]
+    u = _checked_network(U)
+    pairs = list(itertools.product(itertools.combinations(range(1, MODES + 1), 2), repeat=2))
+    if not 0 <= count <= len(pairs):
+        raise ValueError(f"visibility pair count must lie in 0..{len(pairs)}, got {count}")
+    _, classical = _two_photon_rates(u, _pair_index_arrays(pairs))
+    order = np.argsort(-np.round(classical, PAIR_RANK_DECIMALS), kind="stable")
+    return [pairs[j] for j in order[:count]]
 
 
 def simulate_dataset_from_unitary(
@@ -287,19 +303,12 @@ def simulate_dataset_from_unitary(
     """
     if counts_per_setting < 1:
         raise ValueError("counts_per_setting must be a positive integer")
-    u = np.asarray(U, dtype=np.complex128)
-    if u.shape != (MODES, MODES):
-        raise ValueError(f"expected a {MODES} x {MODES} matrix, got shape {u.shape}")
+    u = _checked_network(U)
     if visibility_pairs is None:
         visibility_pairs = default_visibility_pairs(u)
     pairs = [((int(a), int(b)), (int(c), int(d))) for (a, b), (c, d) in visibility_pairs]
-    idx = _pair_index_arrays(pairs)
-    i1, i2, o1, o2 = idx
     singles = np.abs(u) ** 2
-    direct = u[o1, i1] * u[o2, i2]
-    crossed = u[o1, i2] * u[o2, i1]
-    quantum = np.abs(direct + crossed) ** 2
-    classical = np.abs(direct) ** 2 + np.abs(crossed) ** 2
+    quantum, classical = _two_photon_rates(u, _pair_index_arrays(pairs))
 
     rng = np.random.default_rng(seed)
     counts = rng.poisson(counts_per_setting * singles)

@@ -1,15 +1,25 @@
-"""Unitarity checking and seeded Haar-random unitary generation."""
+"""Square-matrix validation, unitarity checking and seeded Haar-random unitaries."""
 
 from __future__ import annotations
 
 import numpy as np
 
+UNITARY_TOL = 1e-8
+
+
+def as_square_matrix(matrix) -> np.ndarray:
+    """The matrix as complex128, after checking it is 2-D, square and finite."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
 
 def is_unitary(matrix, tol: float) -> bool:
     """True iff the max-norm of M^dagger M - I is at most tol."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"unitarity check needs a square matrix, got shape {m.shape}")
+    m = as_square_matrix(matrix)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     gram = m.conj().T @ m

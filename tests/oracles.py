@@ -6,10 +6,19 @@ amplitudes U[out, in] along each assignment, and collects the
 symmetrized outcome weights.  It never touches permanents or submatrix
 construction, so it checks the production pipeline from a different
 direction.
+
+The permanent oracle evaluates Glynn's formula, not the Ryser formula
+of the production kernel, in 40-digit mpmath arithmetic, so its own
+rounding error is far below the kernel's.  The pair-ranking oracle
+ranks visibility pairs with a scalar loop, one pair at a time, as the
+reference for the vectorized ranking.
 """
 
 import itertools
 import math
+
+import mpmath
+import numpy as np
 
 
 def brute_force_distribution(u, input_state):
@@ -32,3 +41,41 @@ def brute_force_distribution(u, input_state):
         out_norm = math.prod(math.factorial(k) for k in occ)
         probs[occ] = abs(amp) ** 2 * out_norm / in_norm
     return probs
+
+
+def mpmath_permanent(matrix, digits=40):
+    """Permanent by Glynn's formula in ``digits``-digit mpmath arithmetic.
+
+    Per(A) = 2^(1-n) sum over delta in {+-1}^n with delta_1 = +1 of
+    (prod_k delta_k) prod_i sum_j delta_j A[i, j], with the deltas
+    walked in Gray-code order so each step flips one sign, and with it
+    the sign of prod_k delta_k.
+    """
+    a = np.asarray(matrix, dtype=complex)
+    n = a.shape[0]
+    with mpmath.workdps(digits):
+        cols = [[mpmath.mpc(complex(z)) for z in a[:, j]] for j in range(n)]
+        sums = [mpmath.fsum(row) for row in zip(*cols)]
+        delta = [1] * n
+        total = mpmath.fprod(sums)
+        for k in range(1, 1 << (n - 1)):
+            j = (k & -k).bit_length()
+            delta[j] = -delta[j]
+            sums = [s + 2 * delta[j] * c for s, c in zip(sums, cols[j])]
+            term = mpmath.fprod(sums)
+            total = total - term if k & 1 else total + term
+        return complex(total / 2 ** (n - 1))
+
+
+def ranked_pairs_loop(u, count):
+    """The ``count`` 5-mode visibility pairs of largest classical rate, by a scalar loop."""
+    ranked = []
+    for in_pair in itertools.combinations(range(1, 6), 2):
+        for out_pair in itertools.combinations(range(1, 6), 2):
+            (a, b), (c, d) = in_pair, out_pair
+            direct = u[c - 1, a - 1] * u[d - 1, b - 1]
+            crossed = u[c - 1, b - 1] * u[d - 1, a - 1]
+            classical = abs(direct) ** 2 + abs(crossed) ** 2
+            ranked.append((-classical, in_pair, out_pair))
+    ranked.sort()
+    return [(in_pair, out_pair) for _, in_pair, out_pair in ranked[:count]]

@@ -189,7 +189,7 @@ def test_criterion_8_noisy_reconstruction():
 def test_criterion_9_performance_kernel():
     ok = False
     try:
-        bs.permanent_ryser(np.eye(2))  # warm the compiled kernel
+        bs.permanent_ryser(np.eye(2))  # untimed first call keeps one-off costs out
         u20 = bs.random_unitary(20, 1)
         start = time.perf_counter()
         bs.permanent_ryser(u20)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bosonsim import io, random_circuit
+from bosonsim import cli, io, random_circuit
 from bosonsim.cli import main
 
 BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
@@ -233,6 +233,31 @@ def test_hom_scan_invalid_modes_exit_code(balanced_file, capsys):
     assert code == 2
 
 
+def test_size_limits_checked_before_loading(tmp_path, capsys):
+    # the network file does not exist, so exit 3 proves the bound came first
+    missing = str(tmp_path / "missing.matrix")
+    code, _, err = run_cli(
+        capsys, "sample", missing, "--input", "1,0", "--count", "100000000000", "--seed", "1"
+    )
+    assert code == 3 and "capped" in err
+    code, _, err = run_cli(
+        capsys, "hom-scan", missing, "--in-modes", "1,2", "--out-modes", "1,2",
+        "--delay-grid=0:1:100000000000",
+    )
+    assert code == 3 and "capped" in err
+
+
+def test_size_limits_are_inclusive(balanced_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SAMPLE_COUNT_LIMIT", 4)
+    monkeypatch.setattr(cli, "DELAY_GRID_LIMIT", 3)
+    sample = ("sample", balanced_file, "--input", "1,1", "--seed", "1", "--count")
+    assert run_cli(capsys, *sample, "4")[0] == 0
+    assert run_cli(capsys, *sample, "5")[0] == 3
+    scan = ("hom-scan", balanced_file, "--in-modes", "1,2", "--out-modes", "1,2")
+    assert run_cli(capsys, *scan, "--delay-grid=0:1:3")[0] == 0
+    assert run_cli(capsys, *scan, "--delay-grid=0:1:4")[0] == 3
+
+
 # ----------------------------------------------------------------------
 # simulate + reconstruct
 # ----------------------------------------------------------------------
@@ -278,12 +303,34 @@ def test_simulate_deterministic(tmp_path, circuit_file, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("pairs", ["-5", "101"])
+def test_simulate_pairs_out_of_range_exit_code(circuit_file, capsys, pairs):
+    code, out, err = run_cli(
+        capsys, "simulate", circuit_file, "--counts", "100", "--seed", "1", "--pairs", pairs
+    )
+    assert code == 2
+    assert out == ""
+    assert "0..100" in err
+
+
 def test_reconstruct_malformed_dataset_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("[singles]\n1 1 0.5 zzz\n")
     code, _, err = run_cli(capsys, "reconstruct", str(path))
     assert code == 2
     assert ":2:" in err
+
+
+def test_reconstruct_nan_sigma_exit_code(tmp_path, capsys):
+    lines = ["[singles]"]
+    lines += [f"{j} {k} 0.2 {'nan' if (j, k) == (3, 2) else '0.01'}"
+              for j in range(1, 6) for k in range(1, 6)]
+    path = tmp_path / "nan.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "reconstruct", str(path), "--restarts", "1")
+    assert code == 2
+    assert out == ""
+    assert ":13:" in err
 
 
 def test_reconstruct_nonconvergence_exit_code(tmp_path, capsys):

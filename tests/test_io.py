@@ -138,6 +138,29 @@ def test_dataset_errors(tmp_path):
         io.read_dataset(path)
 
 
+def _dataset_lines(first_single: str, visibility: str) -> list[str]:
+    lines = ["[singles]", first_single]
+    lines += [f"{j} {k} 0.2 0.01" for j in range(1, 6) for k in range(1, 6) if (j, k) != (1, 1)]
+    return lines + ["[visibilities]", visibility]
+
+
+@pytest.mark.parametrize(
+    "first_single, visibility, bad_line",
+    [
+        ("1 1 0.2 nan", "1 2 1 2 0.5 0.01", 2),
+        ("1 1 inf 0.01", "1 2 1 2 0.5 0.01", 2),
+        ("1 1 0.2 inf", "1 2 1 2 0.5 0.01", 2),
+        ("1 1 0.2 0.01", "1 2 1 2 0.5 nan", 28),
+        ("1 1 0.2 0.01", "1 2 1 2 0.5 inf", 28),
+    ],
+)
+def test_dataset_rejects_non_finite_values(tmp_path, first_single, visibility, bad_line):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text("\n".join(_dataset_lines(first_single, visibility)) + "\n")
+    with pytest.raises(ValueError, match=f":{bad_line}: non-finite"):
+        io.read_dataset(path)
+
+
 def test_result_round_trip(tmp_path):
     p = CircuitParameters(
         tuple(np.linspace(0.3, 0.7, 8)), tuple(np.linspace(0.1, 5.9, 11))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from oracles import mpmath_permanent
 
 from bosonsim import SizeLimitError, permanent_naive, permanent_ryser, random_unitary
-from bosonsim.permanent import _ryser_chunked
 
 BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
 
@@ -41,12 +41,20 @@ def test_ryser_equals_naive_random(n):
         assert abs(got - expected) <= 1e-9 * (1 + abs(expected))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_chunked_fallback_equals_naive(n):
-    rng = np.random.default_rng(40 + n)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    expected = permanent_naive(m)
-    assert abs(complex(_ryser_chunked(m)) - expected) <= 1e-9 * (1 + abs(expected))
+@pytest.mark.parametrize("n", [4, 8, 12, 14])
+def test_ryser_relative_error_against_mpmath(n):
+    # the bound stated in the permanent_ryser docstring, with headroom
+    u = random_unitary(n, 900 + n)
+    expected = mpmath_permanent(u)
+    assert abs(permanent_ryser(u) - expected) <= 1e-11 * abs(expected)
+
+
+def test_mpmath_oracle_matches_naive():
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expected = permanent_naive(m)
+        assert abs(mpmath_permanent(m) - expected) <= 1e-12 * abs(expected)
 
 
 def test_row_multilinearity():

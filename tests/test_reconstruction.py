@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from oracles import ranked_pairs_loop
 
 from bosonsim import (
     CircuitParameters,
@@ -15,6 +18,7 @@ from bosonsim import (
     objective,
     predict_observables,
     random_circuit,
+    random_unitary,
     simulate_dataset,
     visibility,
 )
@@ -90,6 +94,22 @@ def test_parameter_validation():
         CircuitParameters((1.5,) + (0.5,) * 7, (0.0,) * 11)
     with pytest.raises(ValueError):
         CircuitParameters((0.5,) * 8, (7.0,) * 11)
+
+
+@pytest.mark.parametrize("field", ["singles", "singles_sigma", "visibilities"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dataset_rejects_non_finite_values(field, bad):
+    singles, sigma = np.full((5, 5), 0.2), np.full((5, 5), 0.01)
+    value, v_sigma = 0.5, 0.01
+    if field == "singles":
+        singles[2, 3] = bad
+    elif field == "singles_sigma":
+        sigma[2, 3] = bad
+    else:
+        v_sigma = bad
+    records = (VisibilityRecord((1, 2), (1, 2), value, v_sigma),)
+    with pytest.raises(ValueError, match=field):
+        MeasurementDataset(singles, sigma, records)
 
 
 # ----------------------------------------------------------------------
@@ -284,3 +304,29 @@ def test_default_pairs_ranked_by_classical_rate():
     assert min(classical(s) for s in pairs) >= max(
         classical(s) for s in everything[40:]
     ) - 1e-15
+
+
+def test_default_pairs_match_scalar_loop():
+    networks = [random_unitary(5, seed) for seed in range(200)]
+    networks += [compile_circuit(random_circuit(seed)) for seed in range(200)]
+    for u in networks:
+        assert default_visibility_pairs(u, 100) == ranked_pairs_loop(u, 100)
+
+
+def test_default_pairs_exact_ties_break_lexicographically():
+    # every classical rate of the 5-mode DFT is 2/25, up to rounding noise
+    k = np.arange(5)
+    dft = np.exp(2j * np.pi * np.outer(k, k) / 5) / np.sqrt(5)
+    everything = list(itertools.product(itertools.combinations(range(1, 6), 2), repeat=2))
+    assert default_visibility_pairs(dft, 40) == everything[:40]
+
+
+@pytest.mark.parametrize("count", [-5, -1, 101])
+def test_default_pairs_count_out_of_range(count):
+    with pytest.raises(ValueError):
+        default_visibility_pairs(np.eye(5), count)
+
+
+def test_default_pairs_count_bounds_inclusive():
+    assert default_visibility_pairs(np.eye(5), 0) == []
+    assert len(default_visibility_pairs(np.eye(5), 100)) == 100
