@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitError, UndefinedVisibilityError
+from .permanent import permanent_ryser
 from .unitary import UNITARY_TOL, as_square_matrix, is_unitary
 
 RATE_PHOTON_LIMIT = 7
@@ -96,41 +97,13 @@ def _mode_tuple(modes, m: int, label: str) -> tuple[int, ...]:
     return out
 
 
-def _rate_terms(a, s, perms):
-    count = perms.shape[0]
-    n = perms.shape[1]
-    total = 0.0 + 0.0j
-    for p in range(count):
-        for q in range(count):
-            term = 1.0 + 0.0j
-            for k in range(n):
-                sk = perms[p, k]
-                rk = perms[q, k]
-                term *= s[sk, rk] * a[k, sk] * np.conj(a[k, rk])
-            total += term
-    return total
-
-
 @functools.lru_cache(maxsize=None)
 def _permutations(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
-def coincidence_rate(U, in_modes, out_modes, overlap) -> float:
-    """n-fold coincidence rate for partially distinguishable photons.
-
-    One photon enters each of ``in_modes`` and one is detected in each
-    of ``out_modes`` (both 1-based, collision-free).  With A[k, l] the
-    amplitude from in_modes[l] to out_modes[k] and S the photon overlap
-    Gram matrix, the rate is
-
-        sum over permutation pairs (sigma, rho) of
-            prod_k S[sigma(k), rho(k)] * A[k, sigma(k)] * conj(A[k, rho(k)])
-
-    evaluated directly, so the cost is (n!)^2 and n is capped at 7.
-    All-ones S reproduces |Per(A)|^2; identity S gives the permanent of
-    the elementwise |A|^2 matrix (the classical rate).
-    """
+def _rate_setup(U, in_modes, out_modes) -> tuple[int, np.ndarray]:
+    # Checks U and the modes; returns n and Per(M_tau) for each tau in _permutations(n).
     u = as_square_matrix(U)
     if not is_unitary(u, UNITARY_TOL):
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
@@ -143,9 +116,14 @@ def coincidence_rate(U, in_modes, out_modes, overlap) -> float:
         raise SizeLimitError(
             f"coincidence_rate is capped at {RATE_PHOTON_LIMIT} photons, got {n}"
         )
-    s = _check_overlap(overlap, n)
     a = u[np.ix_([o - 1 for o in outs], [i - 1 for i in ins])]
-    total = complex(_rate_terms(a, s, _permutations(n)))
+    return n, np.array([permanent_ryser(a * a[:, tau].conj()) for tau in _permutations(n)])
+
+
+def _rate(n: int, permanents: np.ndarray, overlap) -> float:
+    s = _check_overlap(overlap, n)
+    weights = s[np.arange(n), _permutations(n)].prod(axis=1)
+    total = complex(weights @ permanents)
     if abs(total.imag) > 1e-10:
         raise ValueError(f"rate has imaginary residue {total.imag!r}")
     if total.real < -1e-10:
@@ -153,12 +131,32 @@ def coincidence_rate(U, in_modes, out_modes, overlap) -> float:
     return max(float(total.real), 0.0)
 
 
+def coincidence_rate(U, in_modes, out_modes, overlap) -> float:
+    """n-fold coincidence rate for partially distinguishable photons.
+
+    One photon enters each of ``in_modes`` and one is detected in each
+    of ``out_modes`` (both 1-based, collision-free).  With A[k, l] the
+    amplitude from in_modes[l] to out_modes[k] and S the photon overlap
+    Gram matrix, the rate is the sum over permutation pairs (sigma, rho)
+    of prod_k S[sigma(k), rho(k)] * A[k, sigma(k)] * conj(A[k, rho(k)]).
+    Writing rho = tau o sigma turns it into n! permanents,
+
+        rate = sum over tau of (prod_j S[j, tau(j)]) * Per(M_tau),
+        M_tau[k, l] = A[k, l] * conj(A[k, tau(l)])
+
+    (Tichy, PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)),
+    which costs n! * 2^n * n operations; n is capped at 7.  The
+    permanents do not depend on S, so ``hom_scan`` computes them once
+    per scan.  All-ones S reproduces |Per(A)|^2; identity S gives the
+    permanent of the elementwise |A|^2 matrix (the classical rate).
+    """
+    return _rate(*_rate_setup(U, in_modes, out_modes), overlap)
+
+
 def hom_scan(U, in_modes, out_modes, scan_delays) -> list[tuple[DelayConfig, float]]:
     """Coincidence rate at each delay configuration, in grid order."""
-    return [
-        (cfg, coincidence_rate(U, in_modes, out_modes, overlap_from_delays(cfg)))
-        for cfg in scan_delays
-    ]
+    n, permanents = _rate_setup(U, in_modes, out_modes)
+    return [(cfg, _rate(n, permanents, overlap_from_delays(cfg))) for cfg in scan_delays]
 
 
 def visibility(U, in_pair, out_pair) -> float:
@@ -168,13 +166,15 @@ def visibility(U, in_pair, out_pair) -> float:
     the fully distinguishable (classical) rate.  Raises
     UndefinedVisibilityError when the classical rate vanishes.
     """
-    if len(tuple(in_pair)) != 2 or len(tuple(out_pair)) != 2:
+    in_pair, out_pair = tuple(in_pair), tuple(out_pair)
+    if len(in_pair) != 2 or len(out_pair) != 2:
         raise ValueError("visibility needs exactly two input and two output modes")
-    p_q = coincidence_rate(U, in_pair, out_pair, np.ones((2, 2)))
-    p_d = coincidence_rate(U, in_pair, out_pair, np.eye(2))
+    n, permanents = _rate_setup(U, in_pair, out_pair)
+    p_q = _rate(n, permanents, np.ones((2, 2)))
+    p_d = _rate(n, permanents, np.eye(2))
     if p_d <= CLASSICAL_RATE_FLOOR:
         raise UndefinedVisibilityError(
-            f"classical rate {p_d:.3e} for {tuple(in_pair)} -> {tuple(out_pair)} "
+            f"classical rate {p_d:.3e} for {in_pair} -> {out_pair} "
             "is too small to define a visibility"
         )
     return (p_d - p_q) / p_d

@@ -12,6 +12,13 @@ of the production kernel, in 40-digit mpmath arithmetic, so its own
 rounding error is far below the kernel's.  The pair-ranking oracle
 ranks visibility pairs with a scalar loop, one pair at a time, as the
 reference for the vectorized ranking.
+
+The rate oracle evaluates the partly-distinguishable coincidence rate
+as the defining double sum over permutation pairs (sigma, rho) of
+prod_k S[sigma(k), rho(k)] * A[k, sigma(k)] * conj(A[k, rho(k)]), one
+scalar term at a time.  It costs (n!)^2 * n, so it is meant for n <= 5,
+and it shares no permanent with the production rate, which sums n!
+permanents weighted by overlap products.
 """
 
 import itertools
@@ -79,3 +86,16 @@ def ranked_pairs_loop(u, count):
             ranked.append((-classical, in_pair, out_pair))
     ranked.sort()
     return [(in_pair, out_pair) for _, in_pair, out_pair in ranked[:count]]
+
+
+def rate_pair_sum(a, s):
+    """Coincidence rate of submatrix ``a`` and overlap ``s`` by the (n!)^2 pair sum (n <= 5)."""
+    n = a.shape[0]
+    total = 0.0 + 0.0j
+    for sigma in itertools.permutations(range(n)):
+        for rho in itertools.permutations(range(n)):
+            term = 1.0 + 0.0j
+            for k in range(n):
+                term *= s[sigma[k], rho[k]] * a[k, sigma[k]] * np.conj(a[k, rho[k]])
+            total += term
+    return total

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import rate_pair_sum
 
+import bosonsim.interference as interference
 from bosonsim import (
     DEFAULT_SIGMA_FS,
     DelayConfig,
@@ -68,6 +70,13 @@ def _random_modes(rng, m, n):
     return tuple(int(x) + 1 for x in rng.choice(m, size=n, replace=False))
 
 
+def _unit_diagonal_gram(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    gram = g @ g.conj().T
+    d = np.sqrt(np.real(np.diagonal(gram)))
+    return gram / np.outer(d, d)
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 3), (5, 3)])
 def test_all_ones_limit_is_quantum_rate(m, n):
     rng = np.random.default_rng(m * 10 + n)
@@ -105,12 +114,31 @@ def test_rate_nonnegative_for_random_psd_overlaps():
         ins = _random_modes(rng, m, n)
         outs = _random_modes(rng, m, n)
         for _ in range(5):
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            gram = g @ g.conj().T
-            d = np.sqrt(np.real(np.diagonal(gram)))
-            s = gram / np.outer(d, d)
-            rate = coincidence_rate(u, ins, outs, s)
+            rate = coincidence_rate(u, ins, outs, _unit_diagonal_gram(rng, n))
             assert rate >= 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rate_matches_pair_sum_oracle(n):
+    rng = np.random.default_rng(700 + n)
+    m = n + 3
+    for trial in range(2):
+        u = random_unitary(m, 10 * n + trial)
+        ins = _random_modes(rng, m, n)
+        outs = _random_modes(rng, m, n)
+        a = u[np.ix_([o - 1 for o in outs], [i - 1 for i in ins])]
+        delays = DelayConfig(tuple(rng.normal(0.0, 100.0, n)), 100.0)
+        overlaps = [
+            _unit_diagonal_gram(rng, n),
+            _unit_diagonal_gram(rng, n),
+            overlap_from_delays(delays),
+            np.ones((n, n)),
+            np.eye(n),
+        ]
+        for s in overlaps:
+            expected = rate_pair_sum(a, s)
+            assert abs(expected.imag) <= 1e-12
+            assert abs(coincidence_rate(u, ins, outs, s) - expected.real) <= 1e-12
 
 
 def test_rate_interpolates_monotonically():
@@ -179,6 +207,47 @@ def test_three_photon_joint_scan_dips_at_zero():
     assert min(rates) < 0.8 * max(rates)
 
 
+def _count_unitarity_checks(monkeypatch):
+    calls = []
+    real = interference.is_unitary
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(interference, "is_unitary", counted)
+    return calls
+
+
+def test_scan_validates_network_once(monkeypatch):
+    u = random_unitary(6, 31)
+    ins, outs = (1, 3, 4), (2, 5, 6)
+    configs = [
+        DelayConfig((0.0, tau, -0.5 * tau), 120.0) for tau in np.linspace(-300.0, 300.0, 21)
+    ]
+    calls = _count_unitarity_checks(monkeypatch)
+    result = hom_scan(u, ins, outs, configs)
+    assert len(calls) == 1
+    assert [cfg for cfg, _ in result] == configs
+    for cfg, rate in result:
+        assert abs(rate - coincidence_rate(u, ins, outs, overlap_from_delays(cfg))) <= 1e-12
+
+
+def test_scan_rejects_bad_overlap_at_its_grid_point():
+    good = [DelayConfig((0.0, tau), 100.0) for tau in (-50.0, 0.0, 50.0)]
+    bad = DelayConfig((0.0, 10.0, 20.0), 100.0)
+    consumed = []
+
+    def grid():
+        for cfg in good + [bad] + good:
+            consumed.append(cfg)
+            yield cfg
+
+    with pytest.raises(ValueError, match="overlap matrix must be 2 x 2"):
+        hom_scan(BALANCED, (1, 2), (1, 2), grid())
+    assert consumed == good + [bad]
+
+
 # ----------------------------------------------------------------------
 # visibilities
 # ----------------------------------------------------------------------
@@ -219,3 +288,18 @@ def test_visibility_equals_relative_dip_depth():
                 assert np.isclose(
                     visibility(u, in_pair, out_pair), 1.0 - rate_zero / rate_far, atol=1e-10
                 )
+
+
+def test_visibility_accepts_iterators():
+    u = random_unitary(4, 17)
+    expected = visibility(u, (1, 2), (3, 4))
+    assert visibility(u, iter((1, 2)), iter((3, 4))) == expected
+    assert visibility(u, (m for m in (1, 2)), [3, 4]) == expected
+    with pytest.raises(ValueError, match="exactly two"):
+        visibility(u, iter((1, 2, 3)), (3, 4))
+
+
+def test_visibility_validates_network_once(monkeypatch):
+    calls = _count_unitarity_checks(monkeypatch)
+    visibility(random_unitary(4, 18), (1, 2), (3, 4))
+    assert len(calls) == 1
