@@ -47,6 +47,7 @@ from .reconstruction import (
     FitConfig,
     MeasurementDataset,
     ReconstructionResult,
+    RestartRecord,
     VisibilityRecord,
     default_visibility_pairs,
     fit,
@@ -73,6 +74,7 @@ __all__ = [
     "OutputDistribution",
     "PhaseShifter",
     "ReconstructionResult",
+    "RestartRecord",
     "SizeLimitError",
     "UndefinedVisibilityError",
     "VisibilityRecord",

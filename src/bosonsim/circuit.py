@@ -99,30 +99,45 @@ def _check_element(element: CircuitElement, m: int) -> None:
         raise ValueError(f"unknown circuit element {element!r}")
 
 
+def _mix_rows(u: np.ndarray, i: int, t, r) -> None:
+    """Rows i, i+1 of u (0-based) <- [[t, i*r], [i*r, t]] @ those rows, in place.
+
+    The block is symmetric, so on u.T this right-multiplies u by it.
+    """
+    rows = u[i : i + 2]
+    rows[:] = t * rows + 1j * r * rows[::-1]
+
+
+def _shift_row(u: np.ndarray, i: int, phi) -> None:
+    """Row i of u (0-based) <- exp(i*phi) * row i, in place."""
+    u[i] *= complex(math.cos(phi), math.sin(phi))
+
+
+def _apply_element(u: np.ndarray, element: CircuitElement) -> None:
+    """u <- (unitary of element) @ u, in place."""
+    if isinstance(element, Coupler):
+        _mix_rows(u, element.mode - 1, math.sqrt(1.0 - element.eta), math.sqrt(element.eta))
+    else:
+        _shift_row(u, element.mode - 1, element.phi)
+
+
 def element_unitary(element: CircuitElement, m: int) -> np.ndarray:
     """m x m unitary of a single coupler or phase shifter."""
     _check_element(element, m)
     u = np.eye(m, dtype=np.complex128)
-    if isinstance(element, Coupler):
-        i = element.mode - 1
-        t = math.sqrt(1.0 - element.eta)
-        r = math.sqrt(element.eta)
-        u[i, i] = t
-        u[i + 1, i + 1] = t
-        u[i, i + 1] = 1j * r
-        u[i + 1, i] = 1j * r
-    else:
-        u[element.mode - 1, element.mode - 1] = complex(
-            math.cos(element.phi), math.sin(element.phi)
-        )
+    _apply_element(u, element)
     return u
 
 
 def compile_circuit(circuit: OpticalCircuit) -> np.ndarray:
-    """Product of element unitaries, later elements applied after earlier ones."""
+    """Product of element unitaries, later elements applied after earlier ones.
+
+    Each element updates the running unitary in place: a coupler mixes its
+    two rows, a phase shifter scales its row, so no m x m product is formed.
+    """
     u = np.eye(circuit.mode_count, dtype=np.complex128)
     for element in circuit.elements:
-        u = element_unitary(element, circuit.mode_count) @ u
+        _apply_element(u, element)
     return u
 
 

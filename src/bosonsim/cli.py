@@ -141,16 +141,13 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_reconstruct(args) -> None:
-    dataset = io.read_dataset(args.dataset_file)
-    result = fit(
-        dataset,
-        FitConfig(
-            restarts=args.restarts,
-            max_iterations=args.max_iterations,
-            tolerance=args.tolerance,
-            seed=args.seed,
-        ),
+    config = FitConfig(
+        restarts=args.restarts,
+        max_iterations=args.max_iterations,
+        tolerance=args.tolerance,
+        seed=args.seed,
     )
+    result = fit(io.read_dataset(args.dataset_file), config)
     io.write_result(args.output, result)
 
 

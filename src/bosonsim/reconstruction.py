@@ -11,12 +11,23 @@ datasets for round-trip testing.
 from __future__ import annotations
 
 import itertools
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .circuit import TWO_PI, compile_circuit, default_topology, wrap_phases
+from .circuit import (
+    COUPLER_UPPER_MODES,
+    OUTPUT_PHASE_MODES,
+    TWO_PI,
+    _mix_rows,
+    _shift_row,
+    compile_circuit,
+    default_topology,
+    wrap_phases,
+)
 from .errors import NonConvergenceError, UndefinedVisibilityError
 from .interference import CLASSICAL_RATE_FLOOR
 from .unitary import as_square_matrix
@@ -29,6 +40,23 @@ DEFAULT_PAIR_COUNT = 40
 # Classical rates are compared at this many decimals when ranking pairs, so
 # rates that differ only by rounding noise tie and break lexicographically.
 PAIR_RANK_DECIMALS = 12
+# Smallest accepted fit tolerance: least_squares ignores tolerances below it.
+MIN_TOLERANCE = float(np.finfo(float).eps)
+
+# The canonical network as its 19 steps in input-to-output order, each a
+# (0-based row, index into the parameter vector, is-coupler) triple: the
+# phase on the upper arm before each coupler, the coupler, then the output
+# phases.
+_STEPS = tuple(
+    step
+    for k, mode in enumerate(COUPLER_UPPER_MODES)
+    for step in ((mode - 1, ETA_COUNT + k, False), (mode - 1, k, True))
+) + tuple(
+    (mode - 1, ETA_COUNT + len(COUPLER_UPPER_MODES) + j, False)
+    for j, mode in enumerate(OUTPUT_PHASE_MODES)
+)
+
+logger = logging.getLogger("bosonsim")
 
 Pair = tuple[int, int]
 PairSpec = tuple[Pair, Pair]
@@ -104,14 +132,43 @@ class FitConfig:
     tolerance: float = 1e-12
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > MIN_TOLERANCE):
+            raise ValueError(
+                f"tolerance must be finite and above machine epsilon ({MIN_TOLERANCE:.3g}), "
+                f"got {self.tolerance}"
+            )
+
+
+@dataclass(frozen=True)
+class RestartRecord:
+    """How one restart of a fit ended.
+
+    ``cost`` is the sum of squared weighted residuals at its end point;
+    ``status`` is the ``least_squares`` termination status.
+    """
+
+    start: int
+    cost: float
+    nfev: int
+    njev: int
+    status: int
+
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """Best fit over the restarts; ``restarts`` is not written to result files."""
+
     params: CircuitParameters
     residual: float
     predicted: MeasurementDataset
     iterations: int
     restarts_used: int
+    restarts: tuple[RestartRecord, ...] = ()
 
 
 def _pair_index_arrays(pairs: list[PairSpec]):
@@ -130,16 +187,75 @@ def _pair_index_arrays(pairs: list[PairSpec]):
     return i1, i2, o1, o2
 
 
+def _pair_products(a, b, idx):
+    """Direct a[o1, i1] b[o2, i2] and crossed a[o1, i2] b[o2, i1] per indexed pair.
+
+    With a = b = U these are the two-photon amplitudes; a and b may carry
+    a leading stack axis.
+    """
+    i1, i2, o1, o2 = idx
+    return a[..., o1, i1] * b[..., o2, i2], a[..., o1, i2] * b[..., o2, i1]
+
+
 def _two_photon_rates(u, idx):
     """Quantum (indistinguishable) and classical two-photon rates per indexed pair."""
-    i1, i2, o1, o2 = idx
-    direct = u[o1, i1] * u[o2, i2]
-    crossed = u[o1, i2] * u[o2, i1]
+    direct, crossed = _pair_products(u, u, idx)
     return np.abs(direct + crossed) ** 2, np.abs(direct) ** 2 + np.abs(crossed) ** 2
 
 
 def _network_unitary(etas, phis) -> np.ndarray:
     return compile_circuit(default_topology(etas, wrap_phases(phis)))
+
+
+def _vector_unitary(x, prefixes=None) -> np.ndarray:
+    """The canonical network's unitary at parameter vector x, updated in place.
+
+    Walks _STEPS with the circuit's row updates and builds no circuit
+    objects; phases need no wrapping.  If ``prefixes`` is a list, the
+    product of the steps before each step is appended to it, then the
+    unitary itself.
+    """
+    values = np.asarray(x, dtype=float).tolist()
+    u = np.eye(MODES, dtype=np.complex128)
+    for row, k, coupler in _STEPS:
+        if prefixes is not None:
+            prefixes.append(u.copy())
+        if coupler:
+            _mix_rows(u, row, math.sqrt(1.0 - values[k]), math.sqrt(values[k]))
+        else:
+            _shift_row(u, row, values[k])
+    if prefixes is not None:
+        prefixes.append(u)
+    return u
+
+
+def _unitary_jacobian(x):
+    """U at x and the stack dU/dx_k over the parameters, shape (19, 5, 5).
+
+    For step s with element G_s, dU = S_s (dG_s) P_s, where P_s is the
+    product of the steps before it and S_s of those after it.  A phase
+    gives the outer product i S_s[:, row] (G_s P_s)[row, :]; a coupler
+    gives S_s[:, rows] dB P_s[rows, :] with dB its 2 x 2 block
+    differentiated in eta.  S_s is kept transposed, so the symmetric row
+    updates extend it by one step each.  Needs 0 < eta < 1.
+    """
+    values = np.asarray(x, dtype=float).tolist()
+    prefixes: list[np.ndarray] = []
+    u = _vector_unitary(values, prefixes)
+    du = np.empty((len(values), MODES, MODES), dtype=np.complex128)
+    suffix_t = np.eye(MODES, dtype=np.complex128)
+    for s in range(len(_STEPS) - 1, -1, -1):
+        row, k, coupler = _STEPS[s]
+        if coupler:
+            t, r = math.sqrt(1.0 - values[k]), math.sqrt(values[k])
+            rows = prefixes[s][row : row + 2].copy()
+            _mix_rows(rows, 0, -0.5 / t, 0.5 / r)
+            du[k] = suffix_t[row : row + 2].T @ rows
+            _mix_rows(suffix_t, row, t, r)
+        else:
+            du[k] = 1j * np.outer(suffix_t[row], prefixes[s + 1][row])
+            _shift_row(suffix_t, row, values[k])
+    return u, du
 
 
 def _checked_network(U) -> np.ndarray:
@@ -149,9 +265,8 @@ def _checked_network(U) -> np.ndarray:
     return u
 
 
-def _predicted_rates(etas, phis, idx):
+def _predicted_rates(u, idx):
     """Singles matrix plus quantum/classical two-photon rates per pair."""
-    u = _network_unitary(etas, phis)
     return np.abs(u) ** 2, *_two_photon_rates(u, idx)
 
 
@@ -170,7 +285,8 @@ def predict_observables(params: CircuitParameters, visibility_pairs) -> Measurem
     """
     pairs = [((int(a), int(b)), (int(c), int(d))) for (a, b), (c, d) in visibility_pairs]
     idx = _pair_index_arrays(pairs)
-    singles, quantum, classical = _predicted_rates(params.etas, params.phis, idx)
+    u = _network_unitary(params.etas, params.phis)
+    singles, quantum, classical = _predicted_rates(u, idx)
     vis = _vis_from_rates(quantum, classical)
     records = []
     for value, (in_pair, out_pair) in zip(vis, pairs):
@@ -182,14 +298,20 @@ def predict_observables(params: CircuitParameters, visibility_pairs) -> Measurem
     return MeasurementDataset(singles, np.zeros((MODES, MODES)), tuple(records))
 
 
-def _residuals(x, data: MeasurementDataset, idx):
-    singles, quantum, classical = _predicted_rates(x[:ETA_COUNT], x[ETA_COUNT:], idx)
+def _weights(data: MeasurementDataset):
+    """Residual weights of the singles and the visibilities: sigma, or 1 where it is 0."""
     s_weight = np.where(data.singles_sigma > 0, data.singles_sigma, 1.0)
+    v_weight = np.array([r.sigma if r.sigma > 0 else 1.0 for r in data.visibilities])
+    return s_weight, v_weight
+
+
+def _residuals(x, data: MeasurementDataset, idx):
+    singles, quantum, classical = _predicted_rates(_vector_unitary(x), idx)
+    s_weight, v_weight = _weights(data)
     parts = [((singles - data.singles) / s_weight).ravel()]
     if data.visibilities:
         vis = _vis_from_rates(quantum, classical)
         measured = np.array([r.value for r in data.visibilities])
-        v_weight = np.array([r.sigma if r.sigma > 0 else 1.0 for r in data.visibilities])
         with np.errstate(invalid="ignore"):
             resid = np.where(
                 np.isfinite(vis),
@@ -198,6 +320,35 @@ def _residuals(x, data: MeasurementDataset, idx):
             )
         parts.append(resid)
     return np.concatenate(parts)
+
+
+def _jacobian(x, data: MeasurementDataset, idx):
+    """Exact d(_residuals)/dx, one row per residual.
+
+    Singles: d|U|^2 = 2 Re(conj(U) dU).  Visibilities V = (C - Q)/C, from
+    the classical rate C = |D|^2 + |X|^2 and the quantum rate
+    Q = |D + X|^2 of the direct and crossed amplitudes D and X:
+    dV = (Q dC - C dQ) / C^2.  Rows of penalized (undefined) pairs are 0.
+    """
+    u, du = _unitary_jacobian(x)
+    s_weight, v_weight = _weights(data)
+    parts = [(2.0 * (u.conj() * du).real / s_weight).reshape(len(du), -1)]
+    if data.visibilities:
+        direct, crossed = _pair_products(u, u, idx)
+        d_direct_left, d_crossed_left = _pair_products(du, u, idx)
+        d_direct_right, d_crossed_right = _pair_products(u, du, idx)
+        d_direct, d_crossed = d_direct_left + d_direct_right, d_crossed_left + d_crossed_right
+        quantum, classical = _two_photon_rates(u, idx)
+        d_quantum = 2.0 * (np.conj(direct + crossed) * (d_direct + d_crossed)).real
+        d_classical = 2.0 * (np.conj(direct) * d_direct + np.conj(crossed) * d_crossed).real
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d_vis = np.where(
+                classical > CLASSICAL_RATE_FLOOR,
+                (quantum * d_classical - classical * d_quantum) / classical**2,
+                0.0,
+            )
+        parts.append(d_vis / v_weight)
+    return np.concatenate(parts, axis=1).T
 
 
 def objective(params: CircuitParameters, data: MeasurementDataset) -> float:
@@ -220,9 +371,15 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
     ``config.tolerance``.  Reflectivities are bounded to [0, 1]; phases
     are fitted unbounded and wrapped into [0, 2*pi) at the end so the
     branch cut cannot inflate residuals.
+
+    Each residual evaluation compiles the network straight from the
+    parameter vector by in-place row updates.  The Jacobian is exact, not
+    finite differences: dU/dx_k comes from the products of the steps
+    before and after parameter k's element, and the observables follow
+    by the chain rule.  The "trf" method keeps reflectivities strictly
+    inside (0, 1), where the coupler derivatives are finite.  One DEBUG
+    line per restart goes to the "bosonsim" logger.
     """
-    if config.restarts < 1:
-        raise ValueError("need at least one restart")
     pairs = data.visibility_pairs()
     idx = _pair_index_arrays(pairs)
     rng = np.random.default_rng(config.seed)
@@ -231,15 +388,15 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
     best_cost = np.inf
     best_x = None
     best_nfev = 0
-    used = 0
-    for _ in range(config.restarts):
-        used += 1
+    records: list[RestartRecord] = []
+    for start in range(config.restarts):
         x0 = np.concatenate(
             [rng.uniform(0.05, 0.95, ETA_COUNT), rng.uniform(0.0, TWO_PI, PHI_COUNT)]
         )
         result = least_squares(
             _residuals,
             x0,
+            jac=_jacobian,
             args=(data, idx),
             bounds=(lower, upper),
             method="trf",
@@ -249,6 +406,12 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
             max_nfev=config.max_iterations,
         )
         cost = float(result.fun @ result.fun)
+        record = RestartRecord(start, cost, int(result.nfev), int(result.njev), int(result.status))
+        records.append(record)
+        logger.debug(
+            "fit restart %d: cost %.6g, nfev %d, njev %d, status %d",
+            record.start, record.cost, record.nfev, record.njev, record.status,
+        )
         if cost < best_cost:
             best_cost = cost
             best_x = result.x
@@ -269,7 +432,8 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
         residual=objective(params, data),
         predicted=predicted,
         iterations=best_nfev,
-        restarts_used=used,
+        restarts_used=len(records),
+        restarts=tuple(records),
     )
 
 

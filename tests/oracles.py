@@ -19,6 +19,10 @@ prod_k S[sigma(k), rho(k)] * A[k, sigma(k)] * conj(A[k, rho(k)]), one
 scalar term at a time.  It costs (n!)^2 * n, so it is meant for n <= 5,
 and it shares no permanent with the production rate, which sums n!
 permanents weighted by overlap products.
+
+The derivative oracle differentiates any vector function numerically,
+by central differences, one coordinate at a time; it checks the
+analytic fit Jacobian without sharing any of its algebra.
 """
 
 import itertools
@@ -99,3 +103,17 @@ def rate_pair_sum(a, s):
                 term *= s[sigma[k], rho[k]] * a[k, sigma[k]] * np.conj(a[k, rho[k]])
             total += term
     return total
+
+
+def central_differences(f, x, h=1e-6):
+    """Jacobian of the vector function ``f`` at ``x``, one column per coordinate.
+
+    Column k is (f(x + h e_k) - f(x - h e_k)) / (2h); its error is O(h^2).
+    """
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for k in range(len(x)):
+        step = np.zeros_like(x)
+        step[k] = h
+        columns.append((f(x + step) - f(x - step)) / (2.0 * h))
+    return np.stack(columns, axis=1)

@@ -12,7 +12,19 @@ from bosonsim import (
     random_circuit,
     visibility,
 )
-from bosonsim.circuit import COUPLER_UPPER_MODES, wrap_phases
+from bosonsim.circuit import COUPLER_UPPER_MODES, _mix_rows, _shift_row, wrap_phases
+
+
+def dense_element(element, m):
+    """The element's m x m matrix, written out entry by entry."""
+    g = np.eye(m, dtype=complex)
+    i = element.mode - 1
+    if isinstance(element, Coupler):
+        t, r = np.sqrt(1.0 - element.eta), np.sqrt(element.eta)
+        g[i : i + 2, i : i + 2] = [[t, 1j * r], [1j * r, t]]
+    else:
+        g[i, i] = np.exp(1j * element.phi)
+    return g
 
 
 def test_balanced_coupler_unitary():
@@ -61,6 +73,40 @@ def test_compile_applies_later_elements_after_earlier():
     c = OpticalCircuit(2, (first, second))
     expected = element_unitary(second, 2) @ element_unitary(first, 2)
     assert np.array_equal(compile_circuit(c), expected)
+
+
+def test_compile_matches_dense_product():
+    for seed in range(100):
+        c = random_circuit(seed)
+        dense = np.eye(5, dtype=complex)
+        for element in c.elements:
+            dense = dense_element(element, 5) @ dense
+        assert np.max(np.abs(compile_circuit(c) - dense)) < 1e-14
+
+
+def test_row_updates_on_transpose_multiply_from_the_right():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    for element in (Coupler(2, 0.3), Coupler(4, 0.9), PhaseShifter(3, 1.2)):
+        b = a.copy()
+        if isinstance(element, Coupler):
+            _mix_rows(b.T, element.mode - 1, np.sqrt(1 - element.eta), np.sqrt(element.eta))
+        else:
+            _shift_row(b.T, element.mode - 1, element.phi)
+        assert np.max(np.abs(b - a @ dense_element(element, 5))) < 1e-14
+
+
+def test_row_update_applies_coupler_derivative():
+    # with (t, r) replaced by (dt/deta, dr/deta) the update applies dG/deta
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    eta, h = 0.37, 1e-6
+    d_block = (dense_element(Coupler(1, eta + h), 2) - dense_element(Coupler(1, eta - h), 2)) / (
+        2 * h
+    )
+    got = rows.copy()
+    _mix_rows(got, 0, -0.5 / np.sqrt(1 - eta), 0.5 / np.sqrt(eta))
+    assert np.max(np.abs(got - d_block @ rows)) < 1e-8
 
 
 def test_compiled_circuits_are_unitary():

@@ -1,3 +1,6 @@
+import logging
+import warnings
+
 import numpy as np
 import pytest
 
@@ -345,3 +348,51 @@ def test_reconstruct_nonconvergence_exit_code(tmp_path, capsys):
         capsys, "reconstruct", str(path), "--restarts", "2", "--max-iterations", "60"
     )
     assert code == 5
+
+
+@pytest.fixture
+def dataset_file(tmp_path, circuit_file, capsys):
+    path = tmp_path / "data.txt"
+    code, _, _ = run_cli(
+        capsys, "simulate", circuit_file, "--counts", "20000", "--seed", "3",
+        "--output", str(path),
+    )
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--tolerance", "inf", "tolerance"),
+        ("--tolerance", "nan", "tolerance"),
+        ("--tolerance", "0", "tolerance"),
+        ("--tolerance", "-1", "tolerance"),
+        ("--max-iterations", "0", "max_iterations"),
+        ("--restarts", "0", "restarts"),
+    ],
+)
+def test_reconstruct_meaningless_fit_settings_exit_code(dataset_file, capsys, flag, value, field):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "reconstruct", dataset_file, f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bosonsim: ") and err.count("\n") == 1
+    assert field in err
+    assert "Warning" not in err
+    assert caught == []
+
+
+def test_reconstruct_stdout_unchanged_by_restart_log(dataset_file, capsys, caplog):
+    from bosonsim import FitConfig, fit
+
+    caplog.set_level(logging.DEBUG, logger="bosonsim")
+    code, out, _ = run_cli(capsys, "reconstruct", dataset_file, "--restarts", "3", "--seed", "2")
+    assert code == 0
+    result = fit(io.read_dataset(dataset_file), FitConfig(restarts=3, seed=2))
+    io.write_result(None, result)
+    assert out == capsys.readouterr().out
+    assert "fit restart" not in out
+    logged = [m for m in caplog.messages if m.startswith("fit restart")]
+    assert len(logged) == 2 * result.restarts_used

@@ -1,8 +1,11 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
-from oracles import ranked_pairs_loop
+from oracles import central_differences, ranked_pairs_loop
+
+import bosonsim.reconstruction as rec
 
 from bosonsim import (
     CircuitParameters,
@@ -204,6 +207,66 @@ def test_fit_validation():
         fit(data, FitConfig(restarts=0))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("restarts", 0),
+        ("restarts", -3),
+        ("max_iterations", 0),
+        ("max_iterations", -1),
+        ("tolerance", float("inf")),
+        ("tolerance", float("nan")),
+        ("tolerance", 0.0),
+        ("tolerance", -1.0),
+        ("tolerance", np.finfo(float).eps),
+    ],
+)
+def test_fit_config_rejects_meaningless_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        FitConfig(**{field: value})
+
+
+def test_fit_config_accepts_smallest_settings():
+    FitConfig(restarts=1, max_iterations=1, tolerance=2 * np.finfo(float).eps)
+
+
+def test_fit_records_every_restart(caplog):
+    data = simulate_dataset(random_params(31), 1000, seed=2)
+    caplog.set_level(logging.DEBUG, logger="bosonsim")
+    result = fit(data, FitConfig(restarts=3, max_iterations=60, seed=5))
+    assert len(result.restarts) == result.restarts_used == 3
+    assert [r.start for r in result.restarts] == [0, 1, 2]
+    best = min(result.restarts, key=lambda r: r.cost)
+    assert result.iterations == best.nfev
+    assert all(1 <= r.njev <= r.nfev <= 60 for r in result.restarts)
+    assert all(r.status in (-1, 0, 1, 2, 3, 4) for r in result.restarts)
+    lines = [m for m in caplog.messages if m.startswith("fit restart")]
+    assert len(lines) == 3
+
+
+def test_fit_stops_early_and_records_only_the_restarts_run():
+    p = random_params(7)
+    data = predict_observables(p, default_visibility_pairs(network_of(p)))
+    result = fit(data, FitConfig(restarts=20, seed=11, tolerance=1e-6))
+    assert len(result.restarts) == result.restarts_used < 20
+
+
+def test_fit_evaluates_residuals_only_for_steps(monkeypatch):
+    # with the exact Jacobian no residual evaluation is spent on finite differences
+    calls = []
+    residuals = rec._residuals
+
+    def counted(*args):
+        calls.append(1)
+        return residuals(*args)
+
+    monkeypatch.setattr(rec, "_residuals", counted)
+    data = simulate_dataset(random_params(32), 1000, seed=3)
+    result = fit(data, FitConfig(restarts=2, max_iterations=80, seed=1))
+    # one more for the final objective of the best parameters
+    assert len(calls) == sum(r.nfev for r in result.restarts) + 1
+
+
 def test_fit_never_worse_than_best_start():
     from bosonsim.circuit import wrap_phases
 
@@ -330,3 +393,73 @@ def test_default_pairs_count_out_of_range(count):
 def test_default_pairs_count_bounds_inclusive():
     assert default_visibility_pairs(np.eye(5), 0) == []
     assert len(default_visibility_pairs(np.eye(5), 100)) == 100
+
+
+# ----------------------------------------------------------------------
+# the fit's vector compiler and Jacobian
+# ----------------------------------------------------------------------
+
+def vector_of(params) -> np.ndarray:
+    return np.array([*params.etas, *params.phis])
+
+
+def test_vector_unitary_matches_compile_circuit():
+    for seed in range(200):
+        p = random_params(seed)
+        assert np.max(np.abs(rec._vector_unitary(vector_of(p)) - network_of(p))) < 1e-14
+
+
+def test_vector_unitary_matches_compile_circuit_at_eta_corners():
+    rng = np.random.default_rng(8)
+    corners = [np.zeros(8), np.ones(8)] + [rng.integers(0, 2, 8).astype(float) for _ in range(30)]
+    for etas in corners:
+        p = CircuitParameters(tuple(etas), tuple(rng.uniform(0.0, 2 * np.pi, 11)))
+        assert np.max(np.abs(rec._vector_unitary(vector_of(p)) - network_of(p))) < 1e-14
+
+
+def interior_point(seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(0.1, 0.9, 8), rng.uniform(0.0, 2 * np.pi, 11)])
+
+
+def assert_jacobian_matches_differences(x, data):
+    idx = rec._pair_index_arrays(data.visibility_pairs())
+    exact = rec._jacobian(x, data, idx)
+    numeric = central_differences(lambda y: rec._residuals(y, data, idx), x, h=1e-6)
+    assert exact.shape == numeric.shape == (25 + len(data.visibilities), 19)
+    assert np.max(np.abs(exact - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+    return exact
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobian_matches_differences_noisy_data(seed):
+    data = simulate_dataset(random_params(40 + seed), 10_000, seed=seed)
+    assert_jacobian_matches_differences(interior_point(seed), data)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobian_matches_differences_unit_weights(seed):
+    p = random_params(50 + seed)
+    data = predict_observables(p, default_visibility_pairs(network_of(p)))
+    assert np.all(data.singles_sigma == 0) and all(r.sigma == 0 for r in data.visibilities)
+    assert_jacobian_matches_differences(interior_point(10 + seed), data)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobian_matches_differences_singles_only(seed):
+    data = simulate_dataset(random_params(60 + seed), 10_000, seed=seed, visibility_pairs=[])
+    assert_jacobian_matches_differences(interior_point(20 + seed), data)
+
+
+def test_jacobian_row_is_zero_for_undefined_pair():
+    # inputs 1, 2 reach outputs 4, 5 only through couplers 3 and 6, so making
+    # both weak leaves (1, 2) -> (4, 5) with a classical rate below the floor
+    x = interior_point(30)
+    x[2] = x[5] = 5e-4
+    pairs = [((1, 2), (4, 5))] + default_visibility_pairs(rec._vector_unitary(x), 10)
+    records = tuple(VisibilityRecord(i, o, 0.3, 0.02) for i, o in pairs)
+    data = MeasurementDataset(np.full((5, 5), 0.2), np.full((5, 5), 0.01), records)
+    _, classical = rec._two_photon_rates(rec._vector_unitary(x), rec._pair_index_arrays(pairs))
+    assert classical[0] < rec.CLASSICAL_RATE_FLOOR < classical[1:].min()
+    exact = assert_jacobian_matches_differences(x, data)
+    assert np.all(exact[25] == 0.0)
