@@ -23,7 +23,22 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_MODES = 5
 COUPLER_UPPER_MODES = (1, 3, 2, 4, 1, 3, 2, 4)
 OUTPUT_PHASE_MODES = (1, 2, 3)
+ETA_COUNT = len(COUPLER_UPPER_MODES)
+PHI_COUNT = ETA_COUNT + len(OUTPUT_PHASE_MODES)
 RANDOM_ETA_RANGE = (0.2, 0.8)
+
+# The canonical network as its 19 steps in input-to-output order, each a
+# (0-based row, index into the parameter vector etas + phis, is-coupler)
+# triple: the phase on the upper arm before each coupler, the coupler,
+# then the output phases.
+DEFAULT_STEPS = tuple(
+    step
+    for k, mode in enumerate(COUPLER_UPPER_MODES)
+    for step in ((mode - 1, ETA_COUNT + k, False), (mode - 1, k, True))
+) + tuple(
+    (mode - 1, ETA_COUNT + len(COUPLER_UPPER_MODES) + j, False)
+    for j, mode in enumerate(OUTPUT_PHASE_MODES)
+)
 
 
 def wrap_phases(phis) -> np.ndarray:
@@ -75,28 +90,23 @@ class OpticalCircuit:
         if self.mode_count < 1:
             raise ValueError("mode count must be a positive integer")
         object.__setattr__(self, "elements", tuple(self.elements))
+        m = self.mode_count
         for e in self.elements:
-            _check_element(e, self.mode_count)
+            if isinstance(e, Coupler):
+                if e.mode > m - 1:
+                    raise ValueError(f"coupler on modes ({e.mode}, {e.mode + 1}) "
+                                     f"does not fit in {m} modes")
+            elif isinstance(e, PhaseShifter):
+                if e.mode > m:
+                    raise ValueError(f"phase on mode {e.mode} does not fit in {m} modes")
+            else:
+                raise ValueError(f"unknown circuit element {e!r}")
 
     def couplers(self) -> list[Coupler]:
         return [e for e in self.elements if isinstance(e, Coupler)]
 
     def phases(self) -> list[PhaseShifter]:
         return [e for e in self.elements if isinstance(e, PhaseShifter)]
-
-
-def _check_element(element: CircuitElement, m: int) -> None:
-    if isinstance(element, Coupler):
-        if element.mode > m - 1:
-            raise ValueError(
-                f"coupler on modes ({element.mode}, {element.mode + 1}) "
-                f"does not fit in {m} modes"
-            )
-    elif isinstance(element, PhaseShifter):
-        if element.mode > m:
-            raise ValueError(f"phase on mode {element.mode} does not fit in {m} modes")
-    else:
-        raise ValueError(f"unknown circuit element {element!r}")
 
 
 def _mix_rows(u: np.ndarray, i: int, t, r) -> None:
@@ -123,10 +133,7 @@ def _apply_element(u: np.ndarray, element: CircuitElement) -> None:
 
 def element_unitary(element: CircuitElement, m: int) -> np.ndarray:
     """m x m unitary of a single coupler or phase shifter."""
-    _check_element(element, m)
-    u = np.eye(m, dtype=np.complex128)
-    _apply_element(u, element)
-    return u
+    return compile_circuit(OpticalCircuit(m, (element,)))
 
 
 def compile_circuit(circuit: OpticalCircuit) -> np.ndarray:
@@ -151,24 +158,19 @@ def default_topology(etas, phis) -> OpticalCircuit:
     """
     etas = [float(e) for e in etas]
     phis = [float(p) for p in phis]
-    if len(etas) != len(COUPLER_UPPER_MODES):
-        raise ValueError(f"expected {len(COUPLER_UPPER_MODES)} reflectivities, got {len(etas)}")
-    if len(phis) != len(COUPLER_UPPER_MODES) + len(OUTPUT_PHASE_MODES):
-        raise ValueError(
-            f"expected {len(COUPLER_UPPER_MODES) + len(OUTPUT_PHASE_MODES)} phases, got {len(phis)}"
-        )
-    elements: list[CircuitElement] = []
-    for k, mode in enumerate(COUPLER_UPPER_MODES):
-        elements.append(PhaseShifter(mode, phis[k]))
-        elements.append(Coupler(mode, etas[k]))
-    for j, mode in enumerate(OUTPUT_PHASE_MODES):
-        elements.append(PhaseShifter(mode, phis[len(COUPLER_UPPER_MODES) + j]))
-    return OpticalCircuit(DEFAULT_MODES, tuple(elements))
+    for name, values, count in (("reflectivities", etas, ETA_COUNT), ("phases", phis, PHI_COUNT)):
+        if len(values) != count:
+            raise ValueError(f"expected {count} {name}, got {len(values)}")
+    values = etas + phis
+    return OpticalCircuit(DEFAULT_MODES, tuple(
+        Coupler(row + 1, values[k]) if coupler else PhaseShifter(row + 1, values[k])
+        for row, k, coupler in DEFAULT_STEPS
+    ))
 
 
 def random_circuit(seed: int) -> OpticalCircuit:
     """Default topology with eta ~ U[0.2, 0.8] and phi ~ U[0, 2*pi), seeded."""
     rng = np.random.default_rng(seed)
-    etas = rng.uniform(*RANDOM_ETA_RANGE, size=len(COUPLER_UPPER_MODES))
-    phis = rng.uniform(0.0, TWO_PI, size=len(COUPLER_UPPER_MODES) + len(OUTPUT_PHASE_MODES))
+    etas = rng.uniform(*RANDOM_ETA_RANGE, size=ETA_COUNT)
+    phis = rng.uniform(0.0, TWO_PI, size=PHI_COUNT)
     return default_topology(etas, wrap_phases(phis))

@@ -34,10 +34,15 @@ from .reconstruction import (
 )
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_SIZE = 3
-EXIT_DEGENERATE = 4
-EXIT_NONCONVERGENCE = 5
+# Exit code of each error class, first match wins: the size and
+# postselection errors are ValueErrors too.
+EXIT_CODES = (
+    (SizeLimitError, 3),
+    (DegeneratePostselectionError, 4),
+    (NonConvergenceError, 5),
+    (ValueError, 2),
+    (OSError, 2),
+)
 
 # Largest --count for sample and point count for --delay-grid, checked
 # before anything is allocated.
@@ -220,18 +225,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except SizeLimitError as exc:
+    except tuple(error for error, _ in EXIT_CODES) as exc:
         print(f"bosonsim: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except DegeneratePostselectionError as exc:
-        print(f"bosonsim: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NonConvergenceError as exc:
-        print(f"bosonsim: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except (ValueError, OSError) as exc:
-        print(f"bosonsim: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for error, code in EXIT_CODES if isinstance(exc, error))
     return EXIT_OK
 
 

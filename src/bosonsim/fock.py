@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegeneratePostselectionError
-from .permanent import permanent_ryser
+from .errors import CapacityError, DegeneratePostselectionError, SizeLimitError
+from .permanent import RYSER_LIMIT, permanent_ryser
 from .unitary import UNITARY_TOL, as_square_matrix, is_unitary
 
 BASIS_GUARD = 10_000_000
@@ -22,7 +22,7 @@ NORMALIZATION_TOL = 1e-10
 COLLISION_FREE_FLOOR = 1e-12
 
 # factorials up to the Ryser photon ceiling
-_FACTORIAL = np.array([math.factorial(k) for k in range(31)], dtype=float)
+_FACTORIAL = np.array([math.factorial(k) for k in range(RYSER_LIMIT + 1)], dtype=float)
 
 
 def as_occupation(state) -> tuple[int, ...]:
@@ -36,6 +36,16 @@ def as_occupation(state) -> tuple[int, ...]:
     if not occ:
         raise ValueError("occupation vector needs at least one mode")
     return tuple(occ)
+
+
+def _occupation_for(u: np.ndarray, state) -> tuple[int, ...]:
+    """The state as occupations of u's modes, holding at most RYSER_LIMIT photons."""
+    occ = as_occupation(state)
+    if len(occ) != u.shape[0]:
+        raise ValueError("occupation length does not match the matrix dimension")
+    if sum(occ) > RYSER_LIMIT:
+        raise SizeLimitError(f"photon number is capped at {RYSER_LIMIT}, got {sum(occ)}")
+    return occ
 
 
 def basis_size(m: int, n: int) -> int:
@@ -80,10 +90,8 @@ def enumerate_basis(m: int, n: int) -> list[tuple[int, ...]]:
 def _transition(U, input_state, output_state):
     """Validated (matrix, input occupations, output occupations) of one I -> O transition."""
     u = as_square_matrix(U)
-    inp = as_occupation(input_state)
-    out = as_occupation(output_state)
-    if len(inp) != u.shape[0] or len(out) != u.shape[0]:
-        raise ValueError("occupation length does not match the matrix dimension")
+    inp = _occupation_for(u, input_state)
+    out = _occupation_for(u, output_state)
     n = sum(inp)
     if n != sum(out):
         raise ValueError(f"photon numbers differ: input {n}, output {sum(out)}")
@@ -153,17 +161,12 @@ class OutputDistribution:
 def full_distribution(U, input_state) -> OutputDistribution:
     """Probabilities of every n-photon output state for the given input."""
     u = as_square_matrix(U)
-    inp = as_occupation(input_state)
-    if len(inp) != u.shape[0]:
-        raise ValueError("occupation length does not match the matrix dimension")
+    inp = _occupation_for(u, input_state)
     if not is_unitary(u, UNITARY_TOL):
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
     n = sum(inp)
     basis = enumerate_basis(len(inp), n)
-    if n == 0:
-        probs = np.ones(1)
-    else:
-        probs = np.array([_transition_probability(u, inp, out) for out in basis])
+    probs = np.array([_transition_probability(u, inp, out) for out in basis])
     total = probs.sum()
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(

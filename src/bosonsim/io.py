@@ -22,14 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Coupler, OpticalCircuit, PhaseShifter
-from .fock import OutputDistribution, as_occupation
+from .circuit import DEFAULT_MODES, ETA_COUNT, PHI_COUNT, Coupler, OpticalCircuit, PhaseShifter
+from .fock import OutputDistribution
+from .interference import _mode_tuple
 from .reconstruction import (
-    MODES,
     CircuitParameters,
     MeasurementDataset,
     ReconstructionResult,
     VisibilityRecord,
+    _pair_spec,
 )
 
 
@@ -74,6 +75,12 @@ def _significant_lines(path) -> list[tuple[int, str]]:
     return lines
 
 
+def _located(path, lineno, exc: ValueError) -> ValueError:
+    """exc with its file, and its line when known, in front of the message."""
+    where = path if lineno is None else f"{path}:{lineno}"
+    return ValueError(f"{where}: {exc}")
+
+
 def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -83,20 +90,18 @@ def sha256_file(path) -> str:
 # ----------------------------------------------------------------------
 
 def read_matrix(path) -> np.ndarray:
+    lines = _significant_lines(path)
     rows = []
-    linenos = []
-    for lineno, line in _significant_lines(path):
-        try:
+    lineno = None
+    try:
+        for lineno, line in lines:
             rows.append([parse_complex(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        linenos.append(lineno)
-    if not rows:
-        raise ValueError(f"{path}: no matrix rows found")
-    width = len(rows[0])
-    for lineno, row in zip(linenos, rows):
-        if len(row) != width:
-            raise ValueError(f"{path}:{lineno}: expected {width} entries per row")
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"expected {len(rows[0])} entries per row")
+        if not rows:
+            raise ValueError("no matrix rows found")
+    except ValueError as exc:
+        raise _located(path, lineno, exc) from None
     return np.array(rows, dtype=np.complex128)
 
 
@@ -113,32 +118,31 @@ def write_matrix(dest, matrix) -> None:
 
 def read_circuit(path) -> OpticalCircuit:
     lines = _significant_lines(path)
-    if not lines:
-        raise ValueError(f"{path}: empty circuit file")
-    lineno, header = lines[0]
-    fields = header.split()
-    if len(fields) != 2 or fields[0] != "modes":
-        raise ValueError(f"{path}:{lineno}: expected 'modes m', got {header!r}")
+    lineno = None
     try:
-        mode_count = int(fields[1])
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: invalid mode count {fields[1]!r}") from None
-    elements = []
-    for lineno, line in lines[1:]:
-        fields = line.split()
+        if not lines:
+            raise ValueError("empty circuit file")
+        lineno, header = lines[0]
+        fields = header.split()
+        if len(fields) != 2 or fields[0] != "modes":
+            raise ValueError(f"expected 'modes m', got {header!r}")
         try:
+            mode_count = int(fields[1])
+        except ValueError:
+            raise ValueError(f"invalid mode count {fields[1]!r}") from None
+        elements = []
+        for lineno, line in lines[1:]:
+            fields = line.split()
             if len(fields) == 3 and fields[0] == "coupler":
                 elements.append(Coupler(int(fields[1]), float(fields[2])))
             elif len(fields) == 3 and fields[0] == "phase":
                 elements.append(PhaseShifter(int(fields[1]), float(fields[2])))
             else:
                 raise ValueError(f"expected 'coupler i eta' or 'phase i phi', got {line!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    try:
+        lineno = None
         return OpticalCircuit(mode_count, tuple(elements))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise _located(path, lineno, exc) from None
 
 
 def write_circuit(dest, circuit: OpticalCircuit) -> None:
@@ -177,58 +181,57 @@ def _split_sections(path) -> dict[str, list[tuple[int, str]]]:
     return sections
 
 
+def _observable_line(line: str, entry: str, form: str, require_positive_sigma: bool):
+    """(modes, value, sigma) of one line of ``form``, e.g. 'out in p sigma'."""
+    fields = line.split()
+    if len(fields) != len(form.split()):
+        raise ValueError(f"expected '{form}', got {line!r}")
+    try:
+        modes = [int(x) for x in fields[:-2]]
+        value, sigma = float(fields[-2]), float(fields[-1])
+    except ValueError:
+        raise ValueError(f"invalid {entry} entry {line!r}") from None
+    if not (math.isfinite(value) and math.isfinite(sigma)):
+        raise ValueError(f"non-finite {entry} entry {line!r}")
+    if sigma < 0 or (require_positive_sigma and sigma == 0):
+        raise ValueError("uncertainty must be positive")
+    return modes, value, sigma
+
+
 def _parse_observable_sections(path, sections, require_positive_sigma: bool):
-    if "singles" not in sections:
-        raise ValueError(f"{path}: missing [singles] section")
-    singles = np.full((MODES, MODES), np.nan)
-    sigma = np.full((MODES, MODES), np.nan)
-    for lineno, line in sections["singles"]:
-        fields = line.split()
-        if len(fields) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 'out in p sigma', got {line!r}")
-        try:
-            j, k = int(fields[0]), int(fields[1])
-            p, s = float(fields[2]), float(fields[3])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: invalid singles entry {line!r}") from None
-        if not (math.isfinite(p) and math.isfinite(s)):
-            raise ValueError(f"{path}:{lineno}: non-finite singles entry {line!r}")
-        if not (1 <= j <= MODES and 1 <= k <= MODES):
-            raise ValueError(f"{path}:{lineno}: modes outside 1..{MODES}")
-        if not np.isnan(singles[j - 1, k - 1]):
-            raise ValueError(f"{path}:{lineno}: duplicate singles entry ({j}, {k})")
-        if p < 0:
-            raise ValueError(f"{path}:{lineno}: negative probability {p}")
-        if s < 0 or (require_positive_sigma and s == 0):
-            raise ValueError(f"{path}:{lineno}: uncertainty must be positive")
-        singles[j - 1, k - 1] = p
-        sigma[j - 1, k - 1] = s
-    if np.isnan(singles).any():
-        missing = int(np.isnan(singles).sum())
-        raise ValueError(f"{path}: [singles] is missing {missing} of {MODES * MODES} entries")
+    singles = np.full((DEFAULT_MODES, DEFAULT_MODES), np.nan)
+    sigma = np.full((DEFAULT_MODES, DEFAULT_MODES), np.nan)
     records = []
-    for lineno, line in sections.get("visibilities", []):
-        fields = line.split()
-        if len(fields) != 6:
-            raise ValueError(
-                f"{path}:{lineno}: expected 'in1 in2 out1 out2 V sigma', got {line!r}"
+    lineno = None
+    try:
+        if "singles" not in sections:
+            raise ValueError("missing [singles] section")
+        for lineno, line in sections["singles"]:
+            modes, p, s = _observable_line(
+                line, "singles", "out in p sigma", require_positive_sigma
             )
-        try:
-            a, b, c, d = (int(x) for x in fields[:4])
-            value, s = float(fields[4]), float(fields[5])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: invalid visibility entry {line!r}") from None
-        if not (math.isfinite(value) and math.isfinite(s)):
-            raise ValueError(f"{path}:{lineno}: non-finite visibility entry {line!r}")
-        if not all(1 <= x <= MODES for x in (a, b, c, d)):
-            raise ValueError(f"{path}:{lineno}: modes outside 1..{MODES}")
-        if a == b or c == d:
-            raise ValueError(f"{path}:{lineno}: pair modes must be distinct")
-        if not -1.0 <= value <= 1.0:
-            raise ValueError(f"{path}:{lineno}: visibility {value} outside [-1, 1]")
-        if s < 0 or (require_positive_sigma and s == 0):
-            raise ValueError(f"{path}:{lineno}: uncertainty must be positive")
-        records.append(VisibilityRecord((a, b), (c, d), value, s))
+            j, k = (_mode_tuple(modes[:1], DEFAULT_MODES, "output")
+                    + _mode_tuple(modes[1:], DEFAULT_MODES, "input"))
+            if not np.isnan(singles[j - 1, k - 1]):
+                raise ValueError(f"duplicate singles entry ({j}, {k})")
+            if p < 0:
+                raise ValueError(f"negative probability {p}")
+            singles[j - 1, k - 1] = p
+            sigma[j - 1, k - 1] = s
+        for lineno, line in sections.get("visibilities", []):
+            modes, value, s = _observable_line(
+                line, "visibility", "in1 in2 out1 out2 V sigma", require_positive_sigma
+            )
+            in_pair, out_pair = _pair_spec((modes[:2], modes[2:]))
+            if not -1.0 <= value <= 1.0:
+                raise ValueError(f"visibility {value} outside [-1, 1]")
+            records.append(VisibilityRecord(in_pair, out_pair, value, s))
+        lineno = None
+        if np.isnan(singles).any():
+            missing = int(np.isnan(singles).sum())
+            raise ValueError(f"[singles] is missing {missing} of {singles.size} entries")
+    except ValueError as exc:
+        raise _located(path, lineno, exc) from None
     return singles, sigma, tuple(records)
 
 
@@ -248,12 +251,8 @@ def read_dataset(path) -> MeasurementDataset:
 
 def _write_observables(fh, dataset: MeasurementDataset) -> None:
     fh.write("[singles]\n")
-    for j in range(MODES):
-        for k in range(MODES):
-            fh.write(
-                f"{j + 1} {k + 1} {format_float(dataset.singles[j, k])} "
-                f"{format_float(dataset.singles_sigma[j, k])}\n"
-            )
+    for (j, k), p in np.ndenumerate(dataset.singles):
+        fh.write(f"{j + 1} {k + 1} {format_float(p)} {format_float(dataset.singles_sigma[j, k])}\n")
     fh.write("[visibilities]\n")
     for r in dataset.visibilities:
         fh.write(
@@ -285,34 +284,57 @@ def write_result(dest, result: ReconstructionResult) -> None:
         _write_observables(fh, result.predicted)
 
 
+# Value type of each [fit] entry.
+_FIT_FIELDS = {"residual": float, "iterations": int, "restarts_used": int}
+
+
 def read_result(path) -> ReconstructionResult:
     sections = _split_sections(path)
     if "parameters" not in sections or "fit" not in sections:
         raise ValueError(f"{path}: missing [parameters] or [fit] section")
-    etas: dict[int, float] = {}
-    phis: dict[int, float] = {}
-    for lineno, line in sections["parameters"]:
-        fields = line.split()
-        if len(fields) != 3 or fields[0] not in ("eta", "phi"):
-            raise ValueError(f"{path}:{lineno}: expected 'eta k v' or 'phi k v'")
-        target = etas if fields[0] == "eta" else phis
-        target[int(fields[1])] = float(fields[2])
-    params = CircuitParameters(
-        tuple(etas[k] for k in sorted(etas)), tuple(phis[k] for k in sorted(phis))
-    )
+    params = {"eta": {}, "phi": {}}
+    counts = {"eta": ETA_COUNT, "phi": PHI_COUNT}
     fit_fields = {}
-    for lineno, line in sections["fit"]:
-        key, _, value = line.partition(" ")
-        fit_fields[key] = value.strip()
+    lineno = None
+    try:
+        for lineno, line in sections["parameters"]:
+            fields = line.split()
+            if len(fields) != 3 or fields[0] not in params:
+                raise ValueError("expected 'eta k v' or 'phi k v'")
+            kind, k = fields[0], int(fields[1])
+            if not 1 <= k <= counts[kind]:
+                raise ValueError(f"{kind} index {k} outside 1..{counts[kind]}")
+            if k in params[kind]:
+                raise ValueError(f"duplicate {kind} {k}")
+            params[kind][k] = float(fields[2])
+        for lineno, line in sections["fit"]:
+            key, _, value = line.partition(" ")
+            if key not in _FIT_FIELDS:
+                raise ValueError(f"unknown [fit] entry {key!r}")
+            if key in fit_fields:
+                raise ValueError(f"duplicate [fit] entry {key!r}")
+            fit_fields[key] = _FIT_FIELDS[key](value)
+            if not math.isfinite(fit_fields[key]):
+                raise ValueError(f"non-finite {key}")
+        lineno = None
+        missing = [key for key in _FIT_FIELDS if key not in fit_fields]
+        if missing:
+            raise ValueError(f"[fit] is missing {', '.join(missing)}")
+        result_params = CircuitParameters(
+            tuple(v for _, v in sorted(params["eta"].items())),
+            tuple(v for _, v in sorted(params["phi"].items())),
+        )
+    except ValueError as exc:
+        raise _located(path, lineno, exc) from None
     singles, sigma, records = _parse_observable_sections(
         path, sections, require_positive_sigma=False
     )
     return ReconstructionResult(
-        params=params,
-        residual=float(fit_fields["residual"]),
+        params=result_params,
+        residual=fit_fields["residual"],
         predicted=MeasurementDataset(singles, sigma, records),
-        iterations=int(fit_fields["iterations"]),
-        restarts_used=int(fit_fields["restarts_used"]),
+        iterations=fit_fields["iterations"],
+        restarts_used=fit_fields["restarts_used"],
     )
 
 
@@ -334,9 +356,10 @@ def write_distribution(dest, dist: OutputDistribution, source_hash: str) -> None
 
 
 def write_samples(dest, states) -> None:
+    """One comma-separated line per state; states are occupation tuples, as ``sample`` returns."""
     with _as_output(dest) as fh:
         for state in states:
-            fh.write(",".join(str(x) for x in as_occupation(state)) + "\n")
+            fh.write(",".join(str(x) for x in state) + "\n")
 
 
 def write_hom_scan(dest, delays, rates, meta: dict) -> None:

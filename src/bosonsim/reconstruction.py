@@ -13,15 +13,18 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .circuit import (
-    COUPLER_UPPER_MODES,
-    OUTPUT_PHASE_MODES,
+    DEFAULT_MODES,
+    DEFAULT_STEPS,
+    ETA_COUNT,
+    PHI_COUNT,
     TWO_PI,
+    OpticalCircuit,
     _mix_rows,
     _shift_row,
     compile_circuit,
@@ -29,12 +32,9 @@ from .circuit import (
     wrap_phases,
 )
 from .errors import NonConvergenceError, UndefinedVisibilityError
-from .interference import CLASSICAL_RATE_FLOOR
+from .interference import CLASSICAL_RATE_FLOOR, _mode_tuple
 from .unitary import as_square_matrix
 
-MODES = 5
-ETA_COUNT = 8
-PHI_COUNT = 11
 UNDEFINED_PENALTY = 1e6
 DEFAULT_PAIR_COUNT = 40
 # Classical rates are compared at this many decimals when ranking pairs, so
@@ -42,19 +42,6 @@ DEFAULT_PAIR_COUNT = 40
 PAIR_RANK_DECIMALS = 12
 # Smallest accepted fit tolerance: least_squares ignores tolerances below it.
 MIN_TOLERANCE = float(np.finfo(float).eps)
-
-# The canonical network as its 19 steps in input-to-output order, each a
-# (0-based row, index into the parameter vector, is-coupler) triple: the
-# phase on the upper arm before each coupler, the coupler, then the output
-# phases.
-_STEPS = tuple(
-    step
-    for k, mode in enumerate(COUPLER_UPPER_MODES)
-    for step in ((mode - 1, ETA_COUNT + k, False), (mode - 1, k, True))
-) + tuple(
-    (mode - 1, ETA_COUNT + len(COUPLER_UPPER_MODES) + j, False)
-    for j, mode in enumerate(OUTPUT_PHASE_MODES)
-)
 
 logger = logging.getLogger("bosonsim")
 
@@ -64,22 +51,20 @@ PairSpec = tuple[Pair, Pair]
 
 @dataclass(frozen=True)
 class CircuitParameters:
-    """Eight coupler reflectivities and eleven phase shifts."""
+    """Eight coupler reflectivities and eleven phase shifts.
+
+    ``circuit`` is the canonical network they parameterize; building it
+    checks the counts and ranges.
+    """
 
     etas: tuple[float, ...]
     phis: tuple[float, ...]
+    circuit: OpticalCircuit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
-        if len(self.etas) != ETA_COUNT:
-            raise ValueError(f"expected {ETA_COUNT} reflectivities, got {len(self.etas)}")
-        if len(self.phis) != PHI_COUNT:
-            raise ValueError(f"expected {PHI_COUNT} phases, got {len(self.phis)}")
-        if not all(0.0 <= e <= 1.0 for e in self.etas):
-            raise ValueError("reflectivities must lie in [0, 1]")
-        if not all(0.0 <= p < TWO_PI for p in self.phis):
-            raise ValueError("phases must lie in [0, 2*pi)")
+        object.__setattr__(self, "circuit", default_topology(self.etas, self.phis))
 
 
 @dataclass(frozen=True)
@@ -103,16 +88,18 @@ class MeasurementDataset:
     def __post_init__(self):
         singles = np.array(self.singles, dtype=float)
         sigma = np.array(self.singles_sigma, dtype=float)
-        if singles.shape != (MODES, MODES) or sigma.shape != (MODES, MODES):
-            raise ValueError(f"singles blocks must be {MODES} x {MODES}")
+        if singles.shape != (DEFAULT_MODES, DEFAULT_MODES) or sigma.shape != singles.shape:
+            raise ValueError(f"singles blocks must be {DEFAULT_MODES} x {DEFAULT_MODES}")
         records = tuple(self.visibilities)
-        for name, values in (
-            ("singles", singles),
-            ("singles_sigma", sigma),
-            ("visibilities", [(r.value, r.sigma) for r in records]),
+        for name, values, low in (
+            ("singles", singles, 0.0),
+            ("singles_sigma", sigma, 0.0),
+            ("visibilities", [r.value for r in records], -np.inf),
+            ("visibilities sigma", [r.sigma for r in records], 0.0),
         ):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} values must be finite")
+            if not np.all(np.isfinite(values) & np.greater_equal(values, low)):
+                bound = "finite" if low < 0 else "finite and nonnegative"
+                raise ValueError(f"{name} values must be {bound}")
         singles.flags.writeable = False
         sigma.flags.writeable = False
         object.__setattr__(self, "singles", singles)
@@ -171,20 +158,21 @@ class ReconstructionResult:
     restarts: tuple[RestartRecord, ...] = ()
 
 
+def _pair_spec(spec) -> PairSpec:
+    """An (input pair, output pair) spec as int tuples, each two distinct modes in 1..5."""
+    in_pair, out_pair = spec
+    checked = (_mode_tuple(in_pair, DEFAULT_MODES, "input"),
+               _mode_tuple(out_pair, DEFAULT_MODES, "output"))
+    if len(checked[0]) != 2 or len(checked[1]) != 2:
+        raise ValueError(f"a visibility pair needs two input and two output modes, got {checked}")
+    return checked
+
+
 def _pair_index_arrays(pairs: list[PairSpec]):
-    i1 = np.empty(len(pairs), dtype=np.intp)
-    i2 = np.empty(len(pairs), dtype=np.intp)
-    o1 = np.empty(len(pairs), dtype=np.intp)
-    o2 = np.empty(len(pairs), dtype=np.intp)
-    for j, (in_pair, out_pair) in enumerate(pairs):
-        (a, b), (c, d) = tuple(in_pair), tuple(out_pair)
-        for mode in (a, b, c, d):
-            if not 1 <= int(mode) <= MODES:
-                raise ValueError(f"mode {mode} outside 1..{MODES}")
-        if a == b or c == d:
-            raise ValueError(f"pair modes must be distinct, got {in_pair} -> {out_pair}")
-        i1[j], i2[j], o1[j], o2[j] = a - 1, b - 1, c - 1, d - 1
-    return i1, i2, o1, o2
+    """0-based index arrays i1, i2, o1, o2 of the checked pairs."""
+    specs = [_pair_spec(p) for p in pairs]
+    idx = np.array([[*i, *o] for i, o in specs], dtype=np.intp).reshape(-1, 4) - 1
+    return tuple(np.ascontiguousarray(idx.T))
 
 
 def _pair_products(a, b, idx):
@@ -203,21 +191,17 @@ def _two_photon_rates(u, idx):
     return np.abs(direct + crossed) ** 2, np.abs(direct) ** 2 + np.abs(crossed) ** 2
 
 
-def _network_unitary(etas, phis) -> np.ndarray:
-    return compile_circuit(default_topology(etas, wrap_phases(phis)))
-
-
 def _vector_unitary(x, prefixes=None) -> np.ndarray:
     """The canonical network's unitary at parameter vector x, updated in place.
 
-    Walks _STEPS with the circuit's row updates and builds no circuit
+    Walks DEFAULT_STEPS with the circuit's row updates and builds no circuit
     objects; phases need no wrapping.  If ``prefixes`` is a list, the
     product of the steps before each step is appended to it, then the
     unitary itself.
     """
     values = np.asarray(x, dtype=float).tolist()
-    u = np.eye(MODES, dtype=np.complex128)
-    for row, k, coupler in _STEPS:
+    u = np.eye(DEFAULT_MODES, dtype=np.complex128)
+    for row, k, coupler in DEFAULT_STEPS:
         if prefixes is not None:
             prefixes.append(u.copy())
         if coupler:
@@ -242,10 +226,10 @@ def _unitary_jacobian(x):
     values = np.asarray(x, dtype=float).tolist()
     prefixes: list[np.ndarray] = []
     u = _vector_unitary(values, prefixes)
-    du = np.empty((len(values), MODES, MODES), dtype=np.complex128)
-    suffix_t = np.eye(MODES, dtype=np.complex128)
-    for s in range(len(_STEPS) - 1, -1, -1):
-        row, k, coupler = _STEPS[s]
+    du = np.empty((len(values), DEFAULT_MODES, DEFAULT_MODES), dtype=np.complex128)
+    suffix_t = np.eye(DEFAULT_MODES, dtype=np.complex128)
+    for s in range(len(DEFAULT_STEPS) - 1, -1, -1):
+        row, k, coupler = DEFAULT_STEPS[s]
         if coupler:
             t, r = math.sqrt(1.0 - values[k]), math.sqrt(values[k])
             rows = prefixes[s][row : row + 2].copy()
@@ -260,14 +244,11 @@ def _unitary_jacobian(x):
 
 def _checked_network(U) -> np.ndarray:
     u = as_square_matrix(U)
-    if u.shape != (MODES, MODES):
-        raise ValueError(f"expected a {MODES} x {MODES} matrix, got shape {u.shape}")
+    if u.shape != (DEFAULT_MODES, DEFAULT_MODES):
+        raise ValueError(
+            f"expected a {DEFAULT_MODES} x {DEFAULT_MODES} matrix, got shape {u.shape}"
+        )
     return u
-
-
-def _predicted_rates(u, idx):
-    """Singles matrix plus quantum/classical two-photon rates per pair."""
-    return np.abs(u) ** 2, *_two_photon_rates(u, idx)
 
 
 def _vis_from_rates(quantum, classical) -> np.ndarray:
@@ -283,11 +264,9 @@ def predict_observables(params: CircuitParameters, visibility_pairs) -> Measurem
     Raises UndefinedVisibilityError if any requested pair has a vanishing
     classical rate.
     """
-    pairs = [((int(a), int(b)), (int(c), int(d))) for (a, b), (c, d) in visibility_pairs]
-    idx = _pair_index_arrays(pairs)
-    u = _network_unitary(params.etas, params.phis)
-    singles, quantum, classical = _predicted_rates(u, idx)
-    vis = _vis_from_rates(quantum, classical)
+    pairs = [_pair_spec(p) for p in visibility_pairs]
+    u = compile_circuit(params.circuit)
+    vis = _vis_from_rates(*_two_photon_rates(u, _pair_index_arrays(pairs)))
     records = []
     for value, (in_pair, out_pair) in zip(vis, pairs):
         if not np.isfinite(value):
@@ -295,7 +274,7 @@ def predict_observables(params: CircuitParameters, visibility_pairs) -> Measurem
                 f"classical rate vanishes for {in_pair} -> {out_pair}"
             )
         records.append(VisibilityRecord(in_pair, out_pair, float(value), 0.0))
-    return MeasurementDataset(singles, np.zeros((MODES, MODES)), tuple(records))
+    return MeasurementDataset(np.abs(u) ** 2, np.zeros(u.shape), tuple(records))
 
 
 def _weights(data: MeasurementDataset):
@@ -306,9 +285,10 @@ def _weights(data: MeasurementDataset):
 
 
 def _residuals(x, data: MeasurementDataset, idx):
-    singles, quantum, classical = _predicted_rates(_vector_unitary(x), idx)
+    u = _vector_unitary(x)
+    quantum, classical = _two_photon_rates(u, idx)
     s_weight, v_weight = _weights(data)
-    parts = [((singles - data.singles) / s_weight).ravel()]
+    parts = [((np.abs(u) ** 2 - data.singles) / s_weight).ravel()]
     if data.visibilities:
         vis = _vis_from_rates(quantum, classical)
         measured = np.array([r.value for r in data.visibilities])
@@ -445,7 +425,8 @@ def default_visibility_pairs(U, count: int = DEFAULT_PAIR_COUNT) -> list[PairSpe
     break on the lexicographically smallest pair.
     """
     u = _checked_network(U)
-    pairs = list(itertools.product(itertools.combinations(range(1, MODES + 1), 2), repeat=2))
+    modes = range(1, DEFAULT_MODES + 1)
+    pairs = list(itertools.product(itertools.combinations(modes, 2), repeat=2))
     if not 0 <= count <= len(pairs):
         raise ValueError(f"visibility pair count must lie in 0..{len(pairs)}, got {count}")
     _, classical = _two_photon_rates(u, _pair_index_arrays(pairs))
@@ -470,22 +451,15 @@ def simulate_dataset_from_unitary(
     u = _checked_network(U)
     if visibility_pairs is None:
         visibility_pairs = default_visibility_pairs(u)
-    pairs = [((int(a), int(b)), (int(c), int(d))) for (a, b), (c, d) in visibility_pairs]
-    singles = np.abs(u) ** 2
+    pairs = [_pair_spec(p) for p in visibility_pairs]
     quantum, classical = _two_photon_rates(u, _pair_index_arrays(pairs))
 
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(counts_per_setting * singles)
-    est = np.empty((MODES, MODES))
-    sig = np.empty((MODES, MODES))
-    for k in range(MODES):
-        total = counts[:, k].sum()
-        if total == 0:
-            est[:, k] = 1.0 / MODES
-            sig[:, k] = 1.0
-        else:
-            est[:, k] = counts[:, k] / total
-            sig[:, k] = np.sqrt(np.maximum(counts[:, k], 1)) / total
+    counts = rng.poisson(counts_per_setting * np.abs(u) ** 2)
+    total = counts.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        est = np.where(total > 0, counts / total, 1.0 / DEFAULT_MODES)
+        sig = np.where(total > 0, np.sqrt(np.maximum(counts, 1)) / total, 1.0)
     records = []
     for j, (in_pair, out_pair) in enumerate(pairs):
         n_d = int(rng.poisson(counts_per_setting * classical[j]))
@@ -505,5 +479,5 @@ def simulate_dataset(
 ) -> MeasurementDataset:
     """Poisson-noisy dataset for the compiled canonical network."""
     return simulate_dataset_from_unitary(
-        _network_unitary(params.etas, params.phis), counts_per_setting, seed, visibility_pairs
+        compile_circuit(params.circuit), counts_per_setting, seed, visibility_pairs
     )

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bosonsim import cli, io, random_circuit
+from bosonsim import cli, fock, io, random_circuit
 from bosonsim.cli import main
 
 BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
@@ -396,3 +396,18 @@ def test_reconstruct_stdout_unchanged_by_restart_log(dataset_file, capsys, caplo
     assert "fit restart" not in out
     logged = [m for m in caplog.messages if m.startswith("fit restart")]
     assert len(logged) == 2 * result.restarts_used
+
+
+def test_distribution_photon_cap_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fock, "_submatrix", _never_called)
+    monkeypatch.setattr(fock, "enumerate_basis", _never_called)
+    path = tmp_path / "one.matrix"
+    io.write_matrix(path, np.eye(1))
+    code, out, err = run_cli(capsys, "distribution", str(path), "--input", "3000")
+    assert code == 3
+    assert out == ""
+    assert err == "bosonsim: photon number is capped at 30, got 3000\n"
+
+
+def _never_called(*_args, **_kwargs):
+    raise AssertionError("called past the photon cap")

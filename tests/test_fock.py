@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from oracles import brute_force_distribution
 
+import bosonsim.fock as fock
 from bosonsim import (
     CapacityError,
     DegeneratePostselectionError,
+    SizeLimitError,
     build_submatrix,
     collision_free_distribution,
     enumerate_basis,
@@ -15,6 +17,7 @@ from bosonsim import (
     sample,
     transition_probability,
 )
+from bosonsim.permanent import RYSER_LIMIT
 
 BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
 
@@ -221,3 +224,40 @@ def test_sample_total_variation_convergence():
 def test_sample_validation():
     with pytest.raises(ValueError):
         sample(np.eye(2), (1, 0), count=0, seed=1)
+
+
+# ----------------------------------------------------------------------
+# photon-number cap
+# ----------------------------------------------------------------------
+
+def _forbid(*_args, **_kwargs):
+    raise AssertionError("called past the photon cap")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: full_distribution(np.eye(1), (3000,)),
+        lambda: collision_free_distribution(np.eye(1), (31,)),
+        lambda: sample(np.eye(2), (31, 0), count=1, seed=0),
+        lambda: transition_probability(np.eye(1), (31,), (31,)),
+        lambda: build_submatrix(np.eye(2), (1, 0), (100000, 0)),
+    ],
+    ids=["full_distribution", "collision_free", "sample", "transition", "build_submatrix"],
+)
+def test_photon_cap_checked_before_allocation(monkeypatch, call):
+    monkeypatch.setattr(fock, "_submatrix", _forbid)
+    monkeypatch.setattr(fock, "enumerate_basis", _forbid)
+    with pytest.raises(SizeLimitError, match=f"capped at {RYSER_LIMIT}"):
+        call()
+
+
+def test_zero_photon_distribution_is_certain():
+    dist = full_distribution(random_unitary(3, 1), (0, 0, 0))
+    assert dist.states == ((0, 0, 0),)
+    assert dist.probabilities.tolist() == [1.0]
+
+
+def test_photon_cap_is_inclusive():
+    assert fock._occupation_for(np.eye(2), (RYSER_LIMIT, 0)) == (RYSER_LIMIT, 0)
+    assert len(fock._FACTORIAL) == RYSER_LIMIT + 1

@@ -185,3 +185,114 @@ def test_float_serialization_is_exact():
     for _ in range(200):
         x = float(rng.standard_normal() * 10.0 ** float(rng.integers(-12, 12)))
         assert float(io.format_float(x)) == x
+
+
+def _full_singles(first_single: str = "1 1 0.2 0.01") -> list[str]:
+    return ["[singles]", first_single] + [
+        f"{j} {k} 0.2 0.01" for j in range(1, 6) for k in range(1, 6) if (j, k) != (1, 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (_full_singles("1 1 0.2"), r":2: expected 'out in p sigma'"),
+        (_full_singles("1 6 0.2 0.01"), r":2: .*outside 1\.\.5"),
+        (_full_singles("0 1 0.2 0.01"), r":2: .*outside 1\.\.5"),
+        (_full_singles("1 1 -0.2 0.01"), r":2: negative probability"),
+        (_full_singles() + ["[visibilities]", "1 2 1 2 0.5"],
+         r":28: expected 'in1 in2 out1 out2 V sigma'"),
+        (_full_singles() + ["[visibilities]", "1 2 x 2 0.5 0.01"],
+         r":28: invalid visibility entry"),
+        (_full_singles() + ["[visibilities]", "1 2 1 6 0.5 0.01"], r":28: .*outside 1\.\.5"),
+        (_full_singles() + ["[visibilities]", "0 2 1 2 0.5 0.01"], r":28: .*outside 1\.\.5"),
+        (_full_singles() + ["[visibilities]", "2 2 1 2 0.5 0.01"], r":28: .*distinct"),
+        (_full_singles() + ["[visibilities]", "1 2 4 4 0.5 0.01"], r":28: .*distinct"),
+    ],
+)
+def test_dataset_line_errors_carry_line_numbers(tmp_path, lines, message):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        io.read_dataset(path)
+
+
+def test_dataset_missing_singles_section(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("[visibilities]\n1 2 1 2 0.5 0.01\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: missing \[singles\]"):
+        io.read_dataset(path)
+
+
+def test_dataset_column_without_mass(tmp_path):
+    lines = ["[singles]"] + [
+        f"{j} {k} {0.0 if k == 3 else 0.2} 0.01" for j in range(1, 6) for k in range(1, 6)
+    ]
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: a singles column has no probability mass"):
+        io.read_dataset(path)
+
+
+def _result_lines(tmp_path) -> list[str]:
+    from bosonsim import ReconstructionResult
+
+    params = CircuitParameters(tuple(np.linspace(0.3, 0.7, 8)), tuple(np.linspace(0.1, 5.9, 11)))
+    result = ReconstructionResult(
+        params=params,
+        residual=0.25,
+        predicted=predict_observables(params, [((1, 2), (1, 2))]),
+        iterations=7,
+        restarts_used=2,
+    )
+    path = tmp_path / "result.txt"
+    io.write_result(path, result)
+    return path.read_text().splitlines()
+
+
+def _replace_line(lines, prefix, new):
+    (index,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    return lines[:index] + new + lines[index + 1:], index + 1
+
+
+# (line to replace, its replacement, index of the bad line in it or None, message)
+@pytest.mark.parametrize(
+    "prefix, new, bad, message",
+    [
+        ("eta 3 ", ["eta 2 0.5"], 0, "duplicate eta 2"),
+        ("eta 3 ", ["eta 9 0.5"], 0, r"eta index 9 outside 1\.\.8"),
+        ("phi 11 ", ["phi 0 0.5"], 0, r"phi index 0 outside 1\.\.11"),
+        ("eta 3 ", ["eta three 0.5"], 0, "invalid literal"),
+        ("eta 3 ", ["eta 3 1.5"], None, r"reflectivity must lie in \[0, 1\]"),
+        ("residual ", ["residual nan"], 0, "non-finite residual"),
+        ("residual ", ["residual 0.1", "residual 0.2"], 1, r"duplicate \[fit\] entry 'residual'"),
+        ("iterations ", ["iterations 7", "nfev 7"], 1, r"unknown \[fit\] entry 'nfev'"),
+        ("iterations ", ["iterations seven"], 0, "invalid literal"),
+    ],
+)
+def test_read_result_rejects_bad_lines(tmp_path, prefix, new, bad, message):
+    lines, lineno = _replace_line(_result_lines(tmp_path), prefix, new)
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    where = r"bad\.txt: " if bad is None else rf"bad\.txt:{lineno + bad}: "
+    with pytest.raises(ValueError, match=where + message):
+        io.read_result(path)
+
+
+def test_read_result_duplicate_and_extra_eta(tmp_path):
+    # eta 2 twice plus an eta 9 keeps eight etas: the old reader dropped eta 3
+    lines, lineno = _replace_line(_result_lines(tmp_path), "eta 3 ", ["eta 2 0.5"])
+    lines, _ = _replace_line(lines, "eta 8 ", ["eta 8 0.5", "eta 9 0.5"])
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"bad\.txt:{lineno}: duplicate eta 2"):
+        io.read_result(path)
+
+
+@pytest.mark.parametrize("key", ["residual", "iterations", "restarts_used"])
+def test_read_result_missing_fit_entry(tmp_path, key):
+    lines = [line for line in _result_lines(tmp_path) if not line.startswith(key + " ")]
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"bad\.txt: \[fit\] is missing {key}"):
+        io.read_result(path)

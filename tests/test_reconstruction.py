@@ -463,3 +463,48 @@ def test_jacobian_row_is_zero_for_undefined_pair():
     assert classical[0] < rec.CLASSICAL_RATE_FLOOR < classical[1:].min()
     exact = assert_jacobian_matches_differences(x, data)
     assert np.all(exact[25] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (((1, 6), (1, 2)), r"outside 1\.\.5"),
+        (((1, 2), (0, 2)), r"outside 1\.\.5"),
+        (((3, 3), (1, 2)), "distinct"),
+        (((1, 2), (5, 5)), "distinct"),
+    ],
+)
+def test_pair_index_arrays_rejects_bad_pairs(pair, message):
+    with pytest.raises(ValueError, match=message):
+        rec._pair_index_arrays([((1, 2), (1, 2)), pair])
+    with pytest.raises(ValueError, match=message):
+        predict_observables(random_params(1), [pair])
+
+
+def test_parameter_phase_count():
+    with pytest.raises(ValueError, match="expected 11 phases, got 10"):
+        CircuitParameters((0.5,) * 8, (0.0,) * 10)
+    with pytest.raises(ValueError, match="expected 8 reflectivities, got 9"):
+        CircuitParameters((0.5,) * 9, (0.0,) * 11)
+
+
+@pytest.mark.parametrize("field", ["singles", "singles_sigma", "visibilities sigma"])
+def test_dataset_rejects_negative_values(field):
+    singles, sigma = np.full((5, 5), 0.2), np.full((5, 5), 0.01)
+    v_sigma = 0.01
+    if field == "singles":
+        singles[2, 3] = -0.1
+    elif field == "singles_sigma":
+        sigma[2, 3] = -0.01
+    else:
+        v_sigma = -0.01
+    records = (VisibilityRecord((1, 2), (1, 2), 0.5, v_sigma),)
+    with pytest.raises(ValueError, match=f"{field} values must be finite and nonnegative"):
+        MeasurementDataset(singles, sigma, records)
+
+
+def test_dataset_accepts_negative_visibility():
+    data = MeasurementDataset(
+        np.full((5, 5), 0.2), np.full((5, 5), 0.01), (VisibilityRecord((1, 2), (1, 2), -0.4, 0.01),)
+    )
+    assert data.visibilities[0].value == -0.4
