@@ -109,11 +109,16 @@ class OpticalCircuit:
         return [e for e in self.elements if isinstance(e, PhaseShifter)]
 
 
-def _mix_rows(u: np.ndarray, i: int, t, r) -> None:
-    """Rows i, i+1 of u (0-based) <- [[t, i*r], [i*r, t]] @ those rows, in place.
+def _couple(u: np.ndarray, i: int, eta, derivative: bool = False) -> None:
+    """Rows i, i+1 of u (0-based) <- B @ those rows, in place.
 
-    The block is symmetric, so on u.T this right-multiplies u by it.
+    B is the coupler block [[t, i*r], [i*r, t]] with t = sqrt(1 - eta) and
+    r = sqrt(eta), or with ``derivative`` its eta-derivative dB/deta, which
+    needs 0 < eta < 1.  B is symmetric, so on u.T this right-multiplies u by it.
     """
+    t, r = math.sqrt(1.0 - eta), math.sqrt(eta)
+    if derivative:
+        t, r = -0.5 / t, 0.5 / r
     rows = u[i : i + 2]
     rows[:] = t * rows + 1j * r * rows[::-1]
 
@@ -126,7 +131,7 @@ def _shift_row(u: np.ndarray, i: int, phi) -> None:
 def _apply_element(u: np.ndarray, element: CircuitElement) -> None:
     """u <- (unitary of element) @ u, in place."""
     if isinstance(element, Coupler):
-        _mix_rows(u, element.mode - 1, math.sqrt(1.0 - element.eta), math.sqrt(element.eta))
+        _couple(u, element.mode - 1, element.eta)
     else:
         _shift_row(u, element.mode - 1, element.phi)
 
@@ -174,3 +179,46 @@ def random_circuit(seed: int) -> OpticalCircuit:
     etas = rng.uniform(*RANDOM_ETA_RANGE, size=ETA_COUNT)
     phis = rng.uniform(0.0, TWO_PI, size=PHI_COUNT)
     return default_topology(etas, wrap_phases(phis))
+
+
+def _vector_unitary(x, prefixes=None) -> np.ndarray:
+    """The canonical network's unitary at parameter vector x = etas + phis.
+
+    Walks DEFAULT_STEPS with the elements' row updates and builds no circuit
+    objects; phases need no wrapping.  If ``prefixes`` is a list, the
+    product of the steps before each step is appended to it.
+    """
+    values = np.asarray(x, dtype=float).tolist()
+    u = np.eye(DEFAULT_MODES, dtype=np.complex128)
+    for row, k, coupler in DEFAULT_STEPS:
+        if prefixes is not None:
+            prefixes.append(u.copy())
+        (_couple if coupler else _shift_row)(u, row, values[k])
+    return u
+
+
+def _unitary_jacobian(x):
+    """U at x and the stack dU/dx_k over the parameters, shape (19, 5, 5).
+
+    For step s with element G_s, dU = S_s (dG_s) P_s, where P_s is the
+    product of the steps before it and S_s of those after it.  A phase
+    gives the outer product i S_s[:, row] (G_s P_s)[row, :]; a coupler
+    gives S_s[:, rows] dB P_s[rows, :] with dB its 2 x 2 block
+    differentiated in eta.  S_s is kept transposed, so the symmetric row
+    updates extend it by one step each.  Needs 0 < eta < 1.
+    """
+    values = np.asarray(x, dtype=float).tolist()
+    prefixes: list[np.ndarray] = []
+    u = _vector_unitary(values, prefixes)
+    prefixes.append(u)
+    du = np.empty((len(values), DEFAULT_MODES, DEFAULT_MODES), dtype=np.complex128)
+    suffix_t = np.eye(DEFAULT_MODES, dtype=np.complex128)
+    for s, (row, k, coupler) in reversed(list(enumerate(DEFAULT_STEPS))):
+        if coupler:
+            rows = prefixes[s][row : row + 2].copy()
+            _couple(rows, 0, values[k], derivative=True)
+            du[k] = suffix_t[row : row + 2].T @ rows
+        else:
+            du[k] = 1j * np.outer(suffix_t[row], prefixes[s + 1][row])
+        (_couple if coupler else _shift_row)(suffix_t, row, values[k])
+    return u, du

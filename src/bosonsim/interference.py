@@ -74,6 +74,8 @@ def _check_overlap(overlap, n: int) -> np.ndarray:
     s = np.asarray(overlap, dtype=np.complex128)
     if s.shape != (n, n):
         raise ValueError(f"overlap matrix must be {n} x {n}, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("overlap entries must be finite")
     if np.max(np.abs(s - s.conj().T)) > OVERLAP_TOL:
         raise ValueError("overlap matrix must be Hermitian")
     if np.max(np.abs(np.diagonal(s) - 1.0)) > OVERLAP_TOL:
@@ -86,7 +88,10 @@ def _check_overlap(overlap, n: int) -> np.ndarray:
 
 
 def _mode_tuple(modes, m: int, label: str) -> tuple[int, ...]:
-    out = tuple(int(x) for x in modes)
+    given = tuple(modes)
+    out = tuple(int(x) for x in given)
+    if out != given:
+        raise ValueError(f"{label} modes must be integers, got {given}")
     if len(out) == 0:
         raise ValueError(f"need at least one {label} mode")
     if len(set(out)) != len(out):

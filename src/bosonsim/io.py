@@ -44,13 +44,13 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(token: str) -> complex:
-    t = token.strip().lower()
-    if not t or "nan" in t or "inf" in t:
-        raise ValueError(f"invalid complex entry {token!r}")
     try:
-        return complex(t.replace("i", "j"))
+        z = complex(token.strip().lower().replace("i", "j"))
+        if np.isfinite(z):
+            return z
     except ValueError:
-        raise ValueError(f"invalid complex entry {token!r}") from None
+        pass
+    raise ValueError(f"invalid complex entry {token!r}")
 
 
 @contextlib.contextmanager
@@ -167,12 +167,16 @@ def detect_network_kind(path) -> str:
 # datasets
 # ----------------------------------------------------------------------
 
-def _split_sections(path) -> dict[str, list[tuple[int, str]]]:
+def _split_sections(path, names) -> dict[str, list[tuple[int, str]]]:
+    """Lines of each [section] of the file; a header not in ``names`` is an error."""
     sections: dict[str, list[tuple[int, str]]] = {}
     current = None
     for lineno, line in _significant_lines(path):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current not in names:
+                expected = " or ".join(f"[{name}]" for name in names)
+                raise ValueError(f"{path}:{lineno}: unknown section {line}, expected {expected}")
             sections.setdefault(current, [])
         elif current is None:
             raise ValueError(f"{path}:{lineno}: data before any [section] header")
@@ -237,7 +241,7 @@ def _parse_observable_sections(path, sections, require_positive_sigma: bool):
 
 def read_dataset(path) -> MeasurementDataset:
     """Parse a measurement dataset, renormalizing each singles column to sum to 1."""
-    sections = _split_sections(path)
+    sections = _split_sections(path, ("singles", "visibilities"))
     singles, sigma, records = _parse_observable_sections(
         path, sections, require_positive_sigma=True
     )
@@ -289,7 +293,7 @@ _FIT_FIELDS = {"residual": float, "iterations": int, "restarts_used": int}
 
 
 def read_result(path) -> ReconstructionResult:
-    sections = _split_sections(path)
+    sections = _split_sections(path, ("parameters", "fit", "singles", "visibilities"))
     if "parameters" not in sections or "fit" not in sections:
         raise ValueError(f"{path}: missing [parameters] or [fit] section")
     params = {"eta": {}, "phi": {}}

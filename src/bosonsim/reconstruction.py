@@ -10,6 +10,7 @@ datasets for round-trip testing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -20,13 +21,12 @@ from scipy.optimize import least_squares
 
 from .circuit import (
     DEFAULT_MODES,
-    DEFAULT_STEPS,
     ETA_COUNT,
     PHI_COUNT,
     TWO_PI,
     OpticalCircuit,
-    _mix_rows,
-    _shift_row,
+    _unitary_jacobian,
+    _vector_unitary,
     compile_circuit,
     default_topology,
     wrap_phases,
@@ -109,6 +109,15 @@ class MeasurementDataset:
     def visibility_pairs(self) -> list[PairSpec]:
         return [(r.in_pair, r.out_pair) for r in self.visibilities]
 
+    @functools.cached_property
+    def _fit_targets(self):
+        """Read-only measured values and weights (sigma, or 1 where it is 0) for the fit."""
+        measured = np.concatenate([self.singles.ravel(), [r.value for r in self.visibilities]])
+        sigma = np.concatenate([self.singles_sigma.ravel(), [r.sigma for r in self.visibilities]])
+        weight = np.where(sigma > 0, sigma, 1.0)
+        measured.flags.writeable = weight.flags.writeable = False
+        return measured, weight
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -187,59 +196,12 @@ def _pair_products(a, b, idx):
 
 def _two_photon_rates(u, idx):
     """Quantum (indistinguishable) and classical two-photon rates per indexed pair."""
-    direct, crossed = _pair_products(u, u, idx)
+    return _rates(*_pair_products(u, u, idx))
+
+
+def _rates(direct, crossed):
+    """Quantum |D + X|^2 and classical |D|^2 + |X|^2 rates of direct and crossed amplitudes."""
     return np.abs(direct + crossed) ** 2, np.abs(direct) ** 2 + np.abs(crossed) ** 2
-
-
-def _vector_unitary(x, prefixes=None) -> np.ndarray:
-    """The canonical network's unitary at parameter vector x, updated in place.
-
-    Walks DEFAULT_STEPS with the circuit's row updates and builds no circuit
-    objects; phases need no wrapping.  If ``prefixes`` is a list, the
-    product of the steps before each step is appended to it, then the
-    unitary itself.
-    """
-    values = np.asarray(x, dtype=float).tolist()
-    u = np.eye(DEFAULT_MODES, dtype=np.complex128)
-    for row, k, coupler in DEFAULT_STEPS:
-        if prefixes is not None:
-            prefixes.append(u.copy())
-        if coupler:
-            _mix_rows(u, row, math.sqrt(1.0 - values[k]), math.sqrt(values[k]))
-        else:
-            _shift_row(u, row, values[k])
-    if prefixes is not None:
-        prefixes.append(u)
-    return u
-
-
-def _unitary_jacobian(x):
-    """U at x and the stack dU/dx_k over the parameters, shape (19, 5, 5).
-
-    For step s with element G_s, dU = S_s (dG_s) P_s, where P_s is the
-    product of the steps before it and S_s of those after it.  A phase
-    gives the outer product i S_s[:, row] (G_s P_s)[row, :]; a coupler
-    gives S_s[:, rows] dB P_s[rows, :] with dB its 2 x 2 block
-    differentiated in eta.  S_s is kept transposed, so the symmetric row
-    updates extend it by one step each.  Needs 0 < eta < 1.
-    """
-    values = np.asarray(x, dtype=float).tolist()
-    prefixes: list[np.ndarray] = []
-    u = _vector_unitary(values, prefixes)
-    du = np.empty((len(values), DEFAULT_MODES, DEFAULT_MODES), dtype=np.complex128)
-    suffix_t = np.eye(DEFAULT_MODES, dtype=np.complex128)
-    for s in range(len(DEFAULT_STEPS) - 1, -1, -1):
-        row, k, coupler = DEFAULT_STEPS[s]
-        if coupler:
-            t, r = math.sqrt(1.0 - values[k]), math.sqrt(values[k])
-            rows = prefixes[s][row : row + 2].copy()
-            _mix_rows(rows, 0, -0.5 / t, 0.5 / r)
-            du[k] = suffix_t[row : row + 2].T @ rows
-            _mix_rows(suffix_t, row, t, r)
-        else:
-            du[k] = 1j * np.outer(suffix_t[row], prefixes[s + 1][row])
-            _shift_row(suffix_t, row, values[k])
-    return u, du
 
 
 def _checked_network(U) -> np.ndarray:
@@ -277,29 +239,14 @@ def predict_observables(params: CircuitParameters, visibility_pairs) -> Measurem
     return MeasurementDataset(np.abs(u) ** 2, np.zeros(u.shape), tuple(records))
 
 
-def _weights(data: MeasurementDataset):
-    """Residual weights of the singles and the visibilities: sigma, or 1 where it is 0."""
-    s_weight = np.where(data.singles_sigma > 0, data.singles_sigma, 1.0)
-    v_weight = np.array([r.sigma if r.sigma > 0 else 1.0 for r in data.visibilities])
-    return s_weight, v_weight
-
-
 def _residuals(x, data: MeasurementDataset, idx):
+    """Weighted residuals of the singles, then of the visibilities of the pairs idx."""
     u = _vector_unitary(x)
-    quantum, classical = _two_photon_rates(u, idx)
-    s_weight, v_weight = _weights(data)
-    parts = [((np.abs(u) ** 2 - data.singles) / s_weight).ravel()]
-    if data.visibilities:
-        vis = _vis_from_rates(quantum, classical)
-        measured = np.array([r.value for r in data.visibilities])
-        with np.errstate(invalid="ignore"):
-            resid = np.where(
-                np.isfinite(vis),
-                (vis - measured) / v_weight,
-                np.sqrt(UNDEFINED_PENALTY),
-            )
-        parts.append(resid)
-    return np.concatenate(parts)
+    measured, weight = data._fit_targets
+    vis = _vis_from_rates(*_two_photon_rates(u, idx))
+    resid = (np.concatenate([(np.abs(u) ** 2).ravel(), vis]) - measured) / weight
+    resid[u.size :][~np.isfinite(vis)] = np.sqrt(UNDEFINED_PENALTY)
+    return resid
 
 
 def _jacobian(x, data: MeasurementDataset, idx):
@@ -311,24 +258,20 @@ def _jacobian(x, data: MeasurementDataset, idx):
     dV = (Q dC - C dQ) / C^2.  Rows of penalized (undefined) pairs are 0.
     """
     u, du = _unitary_jacobian(x)
-    s_weight, v_weight = _weights(data)
-    parts = [(2.0 * (u.conj() * du).real / s_weight).reshape(len(du), -1)]
-    if data.visibilities:
-        direct, crossed = _pair_products(u, u, idx)
-        d_direct_left, d_crossed_left = _pair_products(du, u, idx)
-        d_direct_right, d_crossed_right = _pair_products(u, du, idx)
-        d_direct, d_crossed = d_direct_left + d_direct_right, d_crossed_left + d_crossed_right
-        quantum, classical = _two_photon_rates(u, idx)
-        d_quantum = 2.0 * (np.conj(direct + crossed) * (d_direct + d_crossed)).real
-        d_classical = 2.0 * (np.conj(direct) * d_direct + np.conj(crossed) * d_crossed).real
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d_vis = np.where(
-                classical > CLASSICAL_RATE_FLOOR,
-                (quantum * d_classical - classical * d_quantum) / classical**2,
-                0.0,
-            )
-        parts.append(d_vis / v_weight)
-    return np.concatenate(parts, axis=1).T
+    _, weight = data._fit_targets
+    direct, crossed = _pair_products(u, u, idx)
+    d_direct, d_crossed = map(np.add, _pair_products(du, u, idx), _pair_products(u, du, idx))
+    quantum, classical = _rates(direct, crossed)
+    d_quantum = 2.0 * (np.conj(direct + crossed) * (d_direct + d_crossed)).real
+    d_classical = 2.0 * (np.conj(direct) * d_direct + np.conj(crossed) * d_crossed).real
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d_vis = np.where(
+            classical > CLASSICAL_RATE_FLOOR,
+            (quantum * d_classical - classical * d_quantum) / classical**2,
+            0.0,
+        )
+    d_singles = 2.0 * (u.conj() * du).real.reshape(len(du), -1)
+    return (np.concatenate([d_singles, d_vis], axis=1) / weight).T
 
 
 def objective(params: CircuitParameters, data: MeasurementDataset) -> float:
@@ -365,10 +308,7 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
     rng = np.random.default_rng(config.seed)
     lower = np.array([0.0] * ETA_COUNT + [-np.inf] * PHI_COUNT)
     upper = np.array([1.0] * ETA_COUNT + [np.inf] * PHI_COUNT)
-    best_cost = np.inf
-    best_x = None
-    best_nfev = 0
-    records: list[RestartRecord] = []
+    runs: list[tuple[RestartRecord, np.ndarray]] = []
     for start in range(config.restarts):
         x0 = np.concatenate(
             [rng.uniform(0.05, 0.95, ETA_COUNT), rng.uniform(0.0, TWO_PI, PHI_COUNT)]
@@ -385,35 +325,31 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
             gtol=config.tolerance,
             max_nfev=config.max_iterations,
         )
-        cost = float(result.fun @ result.fun)
-        record = RestartRecord(start, cost, int(result.nfev), int(result.njev), int(result.status))
-        records.append(record)
+        record = RestartRecord(start, float(result.fun @ result.fun), int(result.nfev),
+                               int(result.njev), int(result.status))
+        runs.append((record, result.x))
         logger.debug(
             "fit restart %d: cost %.6g, nfev %d, njev %d, status %d",
             record.start, record.cost, record.nfev, record.njev, record.status,
         )
-        if cost < best_cost:
-            best_cost = cost
-            best_x = result.x
-            best_nfev = int(result.nfev)
-        if best_cost <= config.tolerance:
+        if record.cost <= config.tolerance:
             break
-    if best_x is None or best_cost >= UNDEFINED_PENALTY:
+    best, best_x = min(runs, key=lambda run: run[0].cost)
+    if best.cost >= UNDEFINED_PENALTY:
         raise NonConvergenceError(
-            f"best objective {best_cost:.6g} never fell below the penalty floor"
+            f"best objective {best.cost:.6g} never fell below the penalty floor"
         )
     params = CircuitParameters(
         tuple(np.clip(best_x[:ETA_COUNT], 0.0, 1.0)),
         tuple(wrap_phases(best_x[ETA_COUNT:])),
     )
-    predicted = predict_observables(params, pairs)
     return ReconstructionResult(
         params=params,
         residual=objective(params, data),
-        predicted=predicted,
-        iterations=best_nfev,
-        restarts_used=len(records),
-        restarts=tuple(records),
+        predicted=predict_observables(params, pairs),
+        iterations=best.nfev,
+        restarts_used=len(runs),
+        restarts=tuple(record for record, _ in runs),
     )
 
 

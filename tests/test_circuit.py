@@ -12,7 +12,7 @@ from bosonsim import (
     random_circuit,
     visibility,
 )
-from bosonsim.circuit import COUPLER_UPPER_MODES, _mix_rows, _shift_row, wrap_phases
+from bosonsim.circuit import COUPLER_UPPER_MODES, _couple, _shift_row, wrap_phases
 
 
 def dense_element(element, m):
@@ -90,14 +90,14 @@ def test_row_updates_on_transpose_multiply_from_the_right():
     for element in (Coupler(2, 0.3), Coupler(4, 0.9), PhaseShifter(3, 1.2)):
         b = a.copy()
         if isinstance(element, Coupler):
-            _mix_rows(b.T, element.mode - 1, np.sqrt(1 - element.eta), np.sqrt(element.eta))
+            _couple(b.T, element.mode - 1, element.eta)
         else:
             _shift_row(b.T, element.mode - 1, element.phi)
         assert np.max(np.abs(b - a @ dense_element(element, 5))) < 1e-14
 
 
 def test_row_update_applies_coupler_derivative():
-    # with (t, r) replaced by (dt/deta, dr/deta) the update applies dG/deta
+    # with derivative=True the update applies dG/deta
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
     eta, h = 0.37, 1e-6
@@ -105,7 +105,7 @@ def test_row_update_applies_coupler_derivative():
         2 * h
     )
     got = rows.copy()
-    _mix_rows(got, 0, -0.5 / np.sqrt(1 - eta), 0.5 / np.sqrt(eta))
+    _couple(got, 0, eta, derivative=True)
     assert np.max(np.abs(got - d_block @ rows)) < 1e-8
 
 
@@ -199,3 +199,17 @@ def test_wrap_phases():
     assert np.isclose(w[0], 2 * np.pi - 0.5)
     assert w[1] == 0.0
     assert w[2] == 0.0
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Coupler(0, 0.5), "coupler mode must be >= 1, got 0"),
+        (lambda: PhaseShifter(0, 0.5), "phase mode must be >= 1, got 0"),
+        (lambda: OpticalCircuit(0, ()), "mode count must be a positive integer"),
+        (lambda: OpticalCircuit(2, ("mirror",)), "unknown circuit element 'mirror'"),
+    ],
+)
+def test_circuit_rejects_bad_modes_and_elements(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

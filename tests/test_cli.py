@@ -1,4 +1,5 @@
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -411,3 +412,35 @@ def test_distribution_photon_cap_exit_code(tmp_path, capsys, monkeypatch):
 
 def _never_called(*_args, **_kwargs):
     raise AssertionError("called past the photon cap")
+
+
+def test_permanent_overflowing_entry_exit_code(tmp_path, capsys):
+    path = tmp_path / "big.matrix"
+    path.write_text("1 2\n3 1e400\n")
+    code, out, err = run_cli(capsys, "permanent", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"bosonsim: {path}:2: invalid complex entry '1e400'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--delay-grid=0:1",), "delay grid must be 'start:stop:count'"),
+        (("--delay-grid=0:x:3",), "invalid delay grid"),
+        (("--delay-grid=0:1:0",), "delay grid needs at least one point"),
+        (("--delay-grid=0:1:2", "--scan-modes", "3"), r"scan modes \[3\] are not input modes"),
+        (("--delay-grid=0:1:2", "--in-modes", "2", "--out-modes", "1"),
+         "need at least one scanned mode"),
+    ],
+)
+def test_hom_scan_rejects_bad_grid_and_scan_modes(balanced_file, capsys, argv, message):
+    defaults = ("--in-modes", "1,2", "--out-modes", "1,2")
+    code, out, err = run_cli(capsys, "hom-scan", balanced_file, *defaults, *argv)
+    assert (code, out) == (2, "")
+    assert re.search(message, err)
+
+
+def test_distribution_rejects_bad_input_token(balanced_file, capsys):
+    code, out, err = run_cli(capsys, "distribution", balanced_file, "--input", "1,x")
+    assert (code, out) == (2, "")
+    assert err == "bosonsim: invalid occupation list '1,x'\n"

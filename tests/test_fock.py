@@ -261,3 +261,34 @@ def test_zero_photon_distribution_is_certain():
 def test_photon_cap_is_inclusive():
     assert fock._occupation_for(np.eye(2), (RYSER_LIMIT, 0)) == (RYSER_LIMIT, 0)
     assert len(fock._FACTORIAL) == RYSER_LIMIT + 1
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ((1, -1, 0), "nonnegative integers, got -1"),
+        ((1, 0.5, 0), "nonnegative integers, got 0.5"),
+        ((), "at least one mode"),
+    ],
+)
+def test_as_occupation_rejects_bad_entries(state, message):
+    with pytest.raises(ValueError, match=message):
+        fock.as_occupation(state)
+
+
+def test_full_distribution_accepts_a_matrix_the_unitarity_check_accepts():
+    # |U^dagger U - I| = 4e-9 passes is_unitary; the 6-photon sum is 1 + 2.4e-8
+    u = random_unitary(12, 3) * (1 + 2e-9)
+    dist = full_distribution(u, (1,) * 6 + (0,) * 6)
+    assert abs(dist.probabilities.sum() - 1.0) < 3e-8
+
+
+def test_full_distribution_rejects_non_unitary():
+    with pytest.raises(ValueError, match="not unitary within"):
+        full_distribution(np.array([[1.0, 1.0], [0.0, 1.0]]), (1, 0))
+
+
+def test_full_distribution_reports_an_unnormalized_sum(monkeypatch):
+    monkeypatch.setattr(fock, "permanent_ryser", lambda a: 2.0)
+    with pytest.raises(ValueError, match=r"output probabilities sum to 8\.0;"):
+        full_distribution(np.eye(2), (1, 1))

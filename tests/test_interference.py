@@ -303,3 +303,46 @@ def test_visibility_validates_network_once(monkeypatch):
     calls = _count_unitarity_checks(monkeypatch)
     visibility(random_unitary(4, 18), (1, 2), (3, 4))
     assert len(calls) == 1
+
+
+def test_non_integer_modes_are_rejected():
+    u = random_unitary(4, 3)
+    with pytest.raises(ValueError, match=r"input modes must be integers, got \(1\.9, 2\.2\)"):
+        coincidence_rate(u, [1.9, 2.2], [3, 4], np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"output modes must be integers, got \(3, 4\.5\)"):
+        coincidence_rate(u, [1, 2], [3, 4.5], np.ones((2, 2)))
+
+
+def test_integral_modes_of_any_numeric_type_are_accepted():
+    u = random_unitary(4, 3)
+    s = np.ones((2, 2))
+    expected = coincidence_rate(u, [1, 2], [3, 4], s)
+    assert coincidence_rate(u, [1.0, np.int64(2)], (np.float64(3.0), 4), s) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_overlap_is_rejected(bad):
+    s = np.ones((2, 2), dtype=complex)
+    s[0, 1] = s[1, 0] = bad
+    with pytest.raises(ValueError, match="overlap entries must be finite"):
+        coincidence_rate(random_unitary(4, 3), [1, 2], [3, 4], s)
+
+
+@pytest.mark.parametrize("delay", [np.nan, np.inf, -np.inf])
+def test_delay_config_rejects_non_finite_delay(delay):
+    with pytest.raises(ValueError, match="delays must be finite"):
+        DelayConfig((0.0, delay), 100.0)
+
+
+@pytest.mark.parametrize(
+    "in_modes, out_modes, overlap, message",
+    [
+        ((), (), np.ones((0, 0)), "need at least one input mode"),
+        ((1, 2), (), np.ones((2, 2)), "need at least one output mode"),
+        ((1, 2), (1, 2, 3), np.ones((2, 2)), "input and output mode counts must match"),
+        ((1, 2), (3, 4), np.array([[1.0, 1.5], [1.5, 1.0]]), "overlap magnitudes cannot exceed 1"),
+    ],
+)
+def test_rate_rejects_bad_modes_and_overlaps(in_modes, out_modes, overlap, message):
+    with pytest.raises(ValueError, match=message):
+        coincidence_rate(random_unitary(4, 3), in_modes, out_modes, overlap)

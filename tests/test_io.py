@@ -296,3 +296,31 @@ def test_read_result_missing_fit_entry(tmp_path, key):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"bad\.txt: \[fit\] is missing {key}"):
         io.read_result(path)
+
+
+def test_parse_complex_rejects_overflow():
+    for bad in ("1e400", "-1e400", "1+1e400i"):
+        with pytest.raises(ValueError, match="invalid complex entry"):
+            io.parse_complex(bad)
+
+
+def test_matrix_overflow_carries_line_number(tmp_path):
+    path = tmp_path / "big.matrix"
+    path.write_text("1 0\n0 1e400\n")
+    with pytest.raises(ValueError, match=r"big\.matrix:2: invalid complex entry '1e400'"):
+        io.read_matrix(path)
+
+
+def test_dataset_rejects_misspelled_section(tmp_path):
+    path = tmp_path / "typo.txt"
+    path.write_text("\n".join(_full_singles() + ["[visibility]", "1 2 1 2 0.5 0.01"]) + "\n")
+    with pytest.raises(ValueError, match=r"typo\.txt:27: unknown section \[visibility\]"):
+        io.read_dataset(path)
+
+
+def test_result_rejects_unknown_section(tmp_path):
+    lines, lineno = _replace_line(_result_lines(tmp_path), "[fit]", ["[fitting]"])
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"bad\.txt:{lineno}: unknown section \[fitting\]"):
+        io.read_result(path)

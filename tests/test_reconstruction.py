@@ -472,6 +472,8 @@ def test_jacobian_row_is_zero_for_undefined_pair():
         (((1, 2), (0, 2)), r"outside 1\.\.5"),
         (((3, 3), (1, 2)), "distinct"),
         (((1, 2), (5, 5)), "distinct"),
+        (((1.9, 2), (3, 4)), r"input modes must be integers, got \(1\.9, 2\)"),
+        (((1, 2, 3), (1, 2)), "needs two input and two output modes"),
     ],
 )
 def test_pair_index_arrays_rejects_bad_pairs(pair, message):
@@ -501,6 +503,17 @@ def test_dataset_rejects_negative_values(field):
     records = (VisibilityRecord((1, 2), (1, 2), 0.5, v_sigma),)
     with pytest.raises(ValueError, match=f"{field} values must be finite and nonnegative"):
         MeasurementDataset(singles, sigma, records)
+
+
+@pytest.mark.parametrize("singles_shape, sigma_shape", [((4, 5), (4, 5)), ((5, 5), (5, 4))])
+def test_dataset_rejects_wrong_shape(singles_shape, sigma_shape):
+    with pytest.raises(ValueError, match="singles blocks must be 5 x 5"):
+        MeasurementDataset(np.full(singles_shape, 0.2), np.full(sigma_shape, 0.01), ())
+
+
+def test_simulate_rejects_non_five_mode_matrix():
+    with pytest.raises(ValueError, match=r"expected a 5 x 5 matrix, got shape \(4, 4\)"):
+        rec.simulate_dataset_from_unitary(random_unitary(4, 1), 1000, seed=1)
 
 
 def test_dataset_accepts_negative_visibility():
