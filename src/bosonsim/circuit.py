@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .unitary import _is_integer, _seeded_rng
+
 TWO_PI = 2.0 * math.pi
 
 # Canonical 5-mode layout: couplers on (1,2),(3,4),(2,3),(4,5) twice over,
@@ -56,6 +58,9 @@ class Coupler:
     eta: float
 
     def __post_init__(self):
+        if not _is_integer(self.mode):
+            raise ValueError(f"coupler mode must be an integer, got {self.mode!r}")
+        object.__setattr__(self, "mode", int(self.mode))
         if self.mode < 1:
             raise ValueError(f"coupler mode must be >= 1, got {self.mode}")
         if not (0.0 <= self.eta <= 1.0):
@@ -70,6 +75,9 @@ class PhaseShifter:
     phi: float
 
     def __post_init__(self):
+        if not _is_integer(self.mode):
+            raise ValueError(f"phase mode must be an integer, got {self.mode!r}")
+        object.__setattr__(self, "mode", int(self.mode))
         if self.mode < 1:
             raise ValueError(f"phase mode must be >= 1, got {self.mode}")
         if not (0.0 <= self.phi < TWO_PI):
@@ -87,8 +95,9 @@ class OpticalCircuit:
     elements: tuple[CircuitElement, ...]
 
     def __post_init__(self):
-        if self.mode_count < 1:
-            raise ValueError("mode count must be a positive integer")
+        if not (_is_integer(self.mode_count) and self.mode_count >= 1):
+            raise ValueError(f"mode count must be a positive integer, got {self.mode_count!r}")
+        object.__setattr__(self, "mode_count", int(self.mode_count))
         object.__setattr__(self, "elements", tuple(self.elements))
         m = self.mode_count
         for e in self.elements:
@@ -175,7 +184,7 @@ def default_topology(etas, phis) -> OpticalCircuit:
 
 def random_circuit(seed: int) -> OpticalCircuit:
     """Default topology with eta ~ U[0.2, 0.8] and phi ~ U[0, 2*pi), seeded."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     etas = rng.uniform(*RANDOM_ETA_RANGE, size=ETA_COUNT)
     phis = rng.uniform(0.0, TWO_PI, size=PHI_COUNT)
     return default_topology(etas, wrap_phases(phis))

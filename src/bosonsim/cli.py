@@ -74,6 +74,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(fields[0]), float(fields[1]), int(fields[2])
     except ValueError:
         raise ValueError(f"invalid delay grid {text!r}") from None
+    if not np.isfinite(stop - start):
+        raise ValueError(f"delay grid needs finite bounds a finite distance apart, got {text!r}")
     if count < 1:
         raise ValueError("delay grid needs at least one point")
     if count > DELAY_GRID_LIMIT:

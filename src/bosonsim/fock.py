@@ -8,6 +8,7 @@ outcomes in that order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, DegeneratePostselectionError, SizeLimitError
 from .permanent import RYSER_LIMIT, permanent_ryser
-from .unitary import UNITARY_TOL, as_square_matrix, is_unitary
+from .unitary import UNITARY_TOL, _is_integer, _seeded_rng, as_square_matrix, is_unitary
 
 BASIS_GUARD = 10_000_000
 COLLISION_FREE_FLOOR = 1e-12
@@ -28,10 +29,9 @@ def as_occupation(state) -> tuple[int, ...]:
     """Normalize to a tuple of occupation numbers, rejecting bad entries."""
     occ = []
     for x in state:
-        xi = int(x)
-        if xi != x or xi < 0:
+        if not (_is_integer(x) and x >= 0):
             raise ValueError(f"occupations must be nonnegative integers, got {x!r}")
-        occ.append(xi)
+        occ.append(int(x))
     if not occ:
         raise ValueError("occupation vector needs at least one mode")
     return tuple(occ)
@@ -58,31 +58,21 @@ def enumerate_basis(m: int, n: int) -> list[tuple[int, ...]]:
     The first state is (n, 0, ..., 0), the last (0, ..., 0, n), and the
     count is C(m+n-1, n).  Raises CapacityError beyond the 1e7 guard.
     """
-    if m < 1:
-        raise ValueError("mode count must be a positive integer")
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
+    if not (_is_integer(m) and m >= 1):
+        raise ValueError(f"mode count must be a positive integer, got {m!r}")
+    if not (_is_integer(n) and n >= 0):
+        raise ValueError(f"photon number must be a nonnegative integer, got {n!r}")
+    m, n = int(m), int(n)
     size = basis_size(m, n)
     if size > BASIS_GUARD:
         raise CapacityError(f"basis of {size} states exceeds the {BASIS_GUARD} guard")
-    if n == 0:
-        return [(0,) * m]
+    # Photon-mode multisets in lexicographic order are the occupations in decreasing order.
     states = []
-    c = [n] + [0] * (m - 1)
-    while True:
-        states.append(tuple(c))
-        donor = -1
-        for i in range(m - 2, -1, -1):
-            if c[i] > 0:
-                donor = i
-                break
-        if donor < 0:
-            break
-        tail = sum(c[donor + 1:]) + 1
-        c[donor] -= 1
-        c[donor + 1] = tail
-        for i in range(donor + 2, m):
-            c[i] = 0
+    for modes in itertools.combinations_with_replacement(range(m), n):
+        occ = [0] * m
+        for k in modes:
+            occ[k] += 1
+        states.append(tuple(occ))
     return states
 
 
@@ -99,8 +89,11 @@ def _transition(U, input_state, output_state):
     return u, inp, out
 
 
-def _submatrix(u, inp, out) -> np.ndarray:
-    return np.repeat(np.repeat(u, inp, axis=1), out, axis=0)
+def _photon_modes(occ) -> np.ndarray:
+    """Ascending photon modes np.repeat(arange(m), occ), one row per state of a stack."""
+    occ = np.asarray(occ, dtype=np.intp)
+    modes = np.broadcast_to(np.arange(occ.shape[-1]), occ.shape)
+    return np.repeat(modes, occ.ravel()).reshape(*occ.shape[:-1], -1)
 
 
 def build_submatrix(U, input_state, output_state) -> np.ndarray:
@@ -110,13 +103,16 @@ def build_submatrix(U, input_state, output_state) -> np.ndarray:
     ascending mode index), then rows of that by the output occupations.
     With single occupancies this is the plain row/column submatrix.
     """
-    return _submatrix(*_transition(U, input_state, output_state))
+    u, inp, out = _transition(U, input_state, output_state)
+    return u[np.ix_(_photon_modes(out), _photon_modes(inp))]
 
 
-def _transition_probability(u, inp, out) -> float:
-    per = permanent_ryser(_submatrix(u, inp, out))
-    denom = _FACTORIAL[list(inp)].prod() * _FACTORIAL[list(out)].prod()
-    return abs(per) ** 2 / denom
+def _probabilities(u, inp, outs) -> np.ndarray:
+    """P(inp -> out) per out in outs, from U's columns gathered once by the input photon modes."""
+    occ = np.array(outs, dtype=np.intp)
+    cols = u[:, _photon_modes(inp)]
+    per2 = [abs(permanent_ryser(cols[rows])) ** 2 for rows in _photon_modes(occ)]
+    return np.array(per2) / (_FACTORIAL[list(inp)].prod() * _FACTORIAL[occ].prod(axis=1))
 
 
 def transition_probability(U, input_state, output_state) -> float:
@@ -124,7 +120,7 @@ def transition_probability(U, input_state, output_state) -> float:
     u, inp, out = _transition(U, input_state, output_state)
     if not is_unitary(u, UNITARY_TOL):
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
-    return _transition_probability(u, inp, out)
+    return _probabilities(u, inp, [out])[0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ def full_distribution(U, input_state) -> OutputDistribution:
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
     n = sum(inp)
     basis = enumerate_basis(len(inp), n)
-    probs = np.array([_transition_probability(u, inp, out) for out in basis])
+    probs = _probabilities(u, inp, basis)
     # To first order |sum - 1| <= n * UNITARY_TOL for any matrix is_unitary accepts.
     total = float(probs.sum())
     if abs(total - 1.0) > 2 * n * UNITARY_TOL:
@@ -199,9 +195,9 @@ def sample(U, input_state, count: int, seed: int, collision_free: bool = False) 
     """``count`` i.i.d. output states drawn by inverse CDF over the exact distribution."""
     if count < 1:
         raise ValueError("count must be a positive integer")
+    rng = _seeded_rng(seed)
     builder = collision_free_distribution if collision_free else full_distribution
     dist = builder(U, input_state)
-    rng = np.random.default_rng(seed)
     cdf = np.cumsum(dist.probabilities)
     idx = np.searchsorted(cdf, rng.random(count), side="right")
     idx = np.minimum(idx, len(cdf) - 1)

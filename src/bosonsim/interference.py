@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SizeLimitError, UndefinedVisibilityError
 from .permanent import permanent_ryser
-from .unitary import UNITARY_TOL, as_square_matrix, is_unitary
+from .unitary import UNITARY_TOL, _is_integer, as_square_matrix, is_unitary
 
 RATE_PHOTON_LIMIT = 7
 OVERLAP_TOL = 1e-8
@@ -89,9 +89,9 @@ def _check_overlap(overlap, n: int) -> np.ndarray:
 
 def _mode_tuple(modes, m: int, label: str) -> tuple[int, ...]:
     given = tuple(modes)
-    out = tuple(int(x) for x in given)
-    if out != given:
+    if not all(_is_integer(x) for x in given):
         raise ValueError(f"{label} modes must be integers, got {given}")
+    out = tuple(int(x) for x in given)
     if len(out) == 0:
         raise ValueError(f"need at least one {label} mode")
     if len(set(out)) != len(out):

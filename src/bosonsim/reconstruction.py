@@ -33,7 +33,7 @@ from .circuit import (
 )
 from .errors import NonConvergenceError, UndefinedVisibilityError
 from .interference import CLASSICAL_RATE_FLOOR, _mode_tuple
-from .unitary import as_square_matrix
+from .unitary import _seeded_rng, as_square_matrix
 
 UNDEFINED_PENALTY = 1e6
 DEFAULT_PAIR_COUNT = 40
@@ -138,6 +138,7 @@ class FitConfig:
                 f"tolerance must be finite and above machine epsilon ({MIN_TOLERANCE:.3g}), "
                 f"got {self.tolerance}"
             )
+        _seeded_rng(self.seed)  # rejects a seed that is not a nonnegative integer
 
 
 @dataclass(frozen=True)
@@ -305,7 +306,7 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
     """
     pairs = data.visibility_pairs()
     idx = _pair_index_arrays(pairs)
-    rng = np.random.default_rng(config.seed)
+    rng = _seeded_rng(config.seed)
     lower = np.array([0.0] * ETA_COUNT + [-np.inf] * PHI_COUNT)
     upper = np.array([1.0] * ETA_COUNT + [np.inf] * PHI_COUNT)
     runs: list[tuple[RestartRecord, np.ndarray]] = []
@@ -390,7 +391,7 @@ def simulate_dataset_from_unitary(
     pairs = [_pair_spec(p) for p in visibility_pairs]
     quantum, classical = _two_photon_rates(u, _pair_index_arrays(pairs))
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     counts = rng.poisson(counts_per_setting * np.abs(u) ** 2)
     total = counts.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):

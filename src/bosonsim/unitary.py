@@ -1,10 +1,23 @@
-"""Square-matrix validation, unitarity checking and seeded Haar-random unitaries."""
+"""Shared input checks, unitarity checking and seeded Haar-random unitaries."""
 
 from __future__ import annotations
 
 import numpy as np
 
 UNITARY_TOL = 1e-8
+
+
+def _is_integer(x) -> bool:
+    """True for ints, numpy ints and integral floats; False for 1.9, inf, nan and strings."""
+    return isinstance(x, (int, np.integer)) or (
+        isinstance(x, (float, np.floating)) and float(x).is_integer())
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """numpy's default generator for a seed, which must be a nonnegative integer."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(int(seed))
 
 
 def as_square_matrix(matrix) -> np.ndarray:
@@ -35,7 +48,7 @@ def random_unitary(m: int, seed: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("mode count must be a positive integer")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

@@ -208,8 +208,23 @@ def test_wrap_phases():
         (lambda: PhaseShifter(0, 0.5), "phase mode must be >= 1, got 0"),
         (lambda: OpticalCircuit(0, ()), "mode count must be a positive integer"),
         (lambda: OpticalCircuit(2, ("mirror",)), "unknown circuit element 'mirror'"),
+        (lambda: compile_circuit(OpticalCircuit(3, (Coupler(1.5, 0.3),))),
+         "coupler mode must be an integer, got 1.5"),
+        (lambda: compile_circuit(OpticalCircuit(2.5, ())),
+         "mode count must be a positive integer, got 2.5"),
+        (lambda: compile_circuit(OpticalCircuit(3, (PhaseShifter(2.5, 0.3),))),
+         "phase mode must be an integer, got 2.5"),
+        (lambda: Coupler(np.nan, 0.3), "coupler mode must be an integer, got nan"),
     ],
 )
 def test_circuit_rejects_bad_modes_and_elements(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_integral_float_modes_are_stored_as_ints():
+    c = OpticalCircuit(3.0, (Coupler(2.0, 0.3), PhaseShifter(np.int64(1), 0.2)))
+    assert (c.mode_count, c.elements[0].mode, c.elements[1].mode) == (3, 2, 1)
+    assert all(type(x) is int for x in (c.mode_count, c.elements[0].mode, c.elements[1].mode))
+    same = OpticalCircuit(3, (Coupler(2, 0.3), PhaseShifter(1, 0.2)))
+    assert np.array_equal(compile_circuit(c), compile_circuit(same))

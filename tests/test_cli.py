@@ -400,7 +400,7 @@ def test_reconstruct_stdout_unchanged_by_restart_log(dataset_file, capsys, caplo
 
 
 def test_distribution_photon_cap_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(fock, "_submatrix", _never_called)
+    monkeypatch.setattr(fock, "_photon_modes", _never_called)
     monkeypatch.setattr(fock, "enumerate_basis", _never_called)
     path = tmp_path / "one.matrix"
     io.write_matrix(path, np.eye(1))
@@ -438,6 +438,31 @@ def test_hom_scan_rejects_bad_grid_and_scan_modes(balanced_file, capsys, argv, m
     code, out, err = run_cli(capsys, "hom-scan", balanced_file, *defaults, *argv)
     assert (code, out) == (2, "")
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "case, field",
+    [("sample", "seed"), ("simulate", "seed"), ("reconstruct", "seed"),
+     ("infinite grid", "delay grid"), ("overflowing grid", "delay grid")],
+)
+def test_bad_seed_or_grid_bound_is_one_error_line(
+    balanced_file, circuit_file, tmp_path, capsys, case, field
+):
+    scan = ("hom-scan", balanced_file, "--in-modes", "1,2", "--out-modes", "1,2")
+    argv = {
+        "sample": ("sample", balanced_file, "--input", "1,1", "--count", "5", "--seed", "-1"),
+        "simulate": ("simulate", circuit_file, "--counts", "100", "--seed", "-1"),
+        # the dataset does not exist: the seed must be rejected before it is read
+        "reconstruct": ("reconstruct", str(tmp_path / "missing.txt"), "--seed", "-1"),
+        "infinite grid": (*scan, "--delay-grid=0:inf:2"),
+        "overflowing grid": (*scan, "--delay-grid=-1e308:1e308:3"),
+    }[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"bosonsim: {field}") and err.count("\n") == 1
+    assert caught == []
 
 
 def test_distribution_rejects_bad_input_token(balanced_file, capsys):

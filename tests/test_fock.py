@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,14 +36,15 @@ def test_basis_vacuum():
     assert enumerate_basis(3, 0) == [(0, 0, 0)]
 
 
-def test_basis_order_and_contents():
-    states = enumerate_basis(4, 3)
-    assert states[0] == (3, 0, 0, 0)
-    assert states[-1] == (0, 0, 0, 3)
-    assert len(set(states)) == len(states)
-    assert all(sum(s) == 3 for s in states)
-    # canonical order: lexicographically decreasing
-    assert states == sorted(states, reverse=True)
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 4), (3, 0), (4, 3), (6, 5), (12, 3)])
+def test_basis_order_and_contents(m, n):
+    states = enumerate_basis(m, n)
+    assert states[0] == (n,) + (0,) * (m - 1)
+    assert states[-1] == (0,) * (m - 1) + (n,)
+    # oracle: every occupation tuple summing to n, lexicographically decreasing
+    oracle = sorted((s for s in itertools.product(range(n + 1), repeat=m) if sum(s) == n),
+                    reverse=True)
+    assert states == oracle
 
 
 def test_basis_stable_across_calls():
@@ -59,6 +61,24 @@ def test_basis_validation():
         enumerate_basis(0, 2)
     with pytest.raises(ValueError):
         enumerate_basis(3, -1)
+
+
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        (2.5, 2, "mode count must be a positive integer, got 2.5"),
+        (np.inf, 2, "mode count must be a positive integer, got inf"),
+        (3, 1.5, "photon number must be a nonnegative integer, got 1.5"),
+        (3, np.nan, "photon number must be a nonnegative integer, got nan"),
+    ],
+)
+def test_basis_rejects_non_integer_sizes(m, n, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_basis(m, n)
+
+
+def test_basis_accepts_integral_floats():
+    assert enumerate_basis(3.0, np.int64(2)) == enumerate_basis(3, 2)
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +198,12 @@ def test_collision_free_identity():
     assert cf.normalization == 1.0
 
 
+def test_probability_of_a_state_outside_the_distribution():
+    dist = collision_free_distribution(random_unitary(3, 2), (1, 1, 0))
+    with pytest.raises(KeyError, match=r"state \(2, 0, 0\) not in distribution"):
+        dist.probability_of((2, 0, 0))
+
+
 def test_collision_free_degenerate():
     with pytest.raises(DegeneratePostselectionError):
         collision_free_distribution(BALANCED, (1, 1))
@@ -246,7 +272,7 @@ def _forbid(*_args, **_kwargs):
     ids=["full_distribution", "collision_free", "sample", "transition", "build_submatrix"],
 )
 def test_photon_cap_checked_before_allocation(monkeypatch, call):
-    monkeypatch.setattr(fock, "_submatrix", _forbid)
+    monkeypatch.setattr(fock, "_photon_modes", _forbid)
     monkeypatch.setattr(fock, "enumerate_basis", _forbid)
     with pytest.raises(SizeLimitError, match=f"capped at {RYSER_LIMIT}"):
         call()
@@ -269,11 +295,19 @@ def test_photon_cap_is_inclusive():
         ((1, -1, 0), "nonnegative integers, got -1"),
         ((1, 0.5, 0), "nonnegative integers, got 0.5"),
         ((), "at least one mode"),
+        ((np.inf, 0, 0), "nonnegative integers, got inf"),
+        ((1, np.nan, 0), "nonnegative integers, got nan"),
     ],
 )
 def test_as_occupation_rejects_bad_entries(state, message):
     with pytest.raises(ValueError, match=message):
         fock.as_occupation(state)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_full_distribution_rejects_a_non_finite_occupation(bad):
+    with pytest.raises(ValueError, match="occupations must be nonnegative integers"):
+        full_distribution(random_unitary(4, 1), (bad, 0, 0, 0))
 
 
 def test_full_distribution_accepts_a_matrix_the_unitarity_check_accepts():

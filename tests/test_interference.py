@@ -341,6 +341,8 @@ def test_delay_config_rejects_non_finite_delay(delay):
         ((1, 2), (), np.ones((2, 2)), "need at least one output mode"),
         ((1, 2), (1, 2, 3), np.ones((2, 2)), "input and output mode counts must match"),
         ((1, 2), (3, 4), np.array([[1.0, 1.5], [1.5, 1.0]]), "overlap magnitudes cannot exceed 1"),
+        ((np.inf, 1), (3, 4), np.ones((2, 2)), r"input modes must be integers, got \(inf, 1\)"),
+        ((1, 2), (3, np.nan), np.ones((2, 2)), r"output modes must be integers, got \(3, nan\)"),
     ],
 )
 def test_rate_rejects_bad_modes_and_overlaps(in_modes, out_modes, overlap, message):

@@ -1,3 +1,5 @@
+import io as textio
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,32 @@ def test_matrix_parse_errors_carry_line_numbers(tmp_path):
     ragged.write_text("1 2\n3\n")
     with pytest.raises(ValueError, match=r":2:"):
         io.read_matrix(ragged)
+
+
+def test_matrix_written_to_a_stream_matches_the_file(tmp_path):
+    u = random_unitary(3, 4)
+    path = tmp_path / "u.matrix"
+    io.write_matrix(path, u)
+    stream = textio.StringIO()
+    io.write_matrix(stream, u)
+    assert stream.getvalue() == path.read_text()
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (io.read_matrix, "# only a comment\n", r"f\.txt: no matrix rows found"),
+        (io.read_circuit, "\n# only a comment\n", r"f\.txt: empty circuit file"),
+        (io.read_circuit, "modes 2.5\n", r"f\.txt:1: invalid mode count '2\.5'"),
+        (io.read_result, "[parameters]\neta 1 0.5\n",
+         r"f\.txt: missing \[parameters\] or \[fit\]"),
+    ],
+)
+def test_readers_reject_files_without_their_content(tmp_path, reader, text, message):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        reader(path)
 
 
 def test_matrix_comments_and_blanks_ignored(tmp_path):
@@ -268,6 +296,7 @@ def _replace_line(lines, prefix, new):
         ("residual ", ["residual 0.1", "residual 0.2"], 1, r"duplicate \[fit\] entry 'residual'"),
         ("iterations ", ["iterations 7", "nfev 7"], 1, r"unknown \[fit\] entry 'nfev'"),
         ("iterations ", ["iterations seven"], 0, "invalid literal"),
+        ("eta 3 ", ["eta 1"], 0, "expected 'eta k v' or 'phi k v'"),
     ],
 )
 def test_read_result_rejects_bad_lines(tmp_path, prefix, new, bad, message):

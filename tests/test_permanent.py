@@ -106,6 +106,11 @@ def test_single_entry():
     assert permanent_ryser([[z]]) == z
 
 
+def test_empty_matrix_permanent_is_one():
+    assert permanent_naive(np.zeros((0, 0))) == 1
+    assert permanent_ryser(np.zeros((0, 0))) == 1
+
+
 def test_size_limits():
     with pytest.raises(SizeLimitError):
         permanent_naive(np.eye(10))

@@ -219,6 +219,8 @@ def test_fit_validation():
         ("tolerance", 0.0),
         ("tolerance", -1.0),
         ("tolerance", np.finfo(float).eps),
+        ("seed", -1),
+        ("seed", 1.5),
     ],
 )
 def test_fit_config_rejects_meaningless_settings(field, value):
@@ -337,6 +339,12 @@ def test_simulate_columns_sum_to_one():
     assert np.all(data.singles_sigma > 0)
     assert all(-1.0 <= r.value <= 1.0 for r in data.visibilities)
     assert all(r.sigma > 0 for r in data.visibilities)
+
+
+def test_simulate_pair_without_classical_counts():
+    # on the identity no path joins modes 1, 2 to 3, 4: the classical draw is 0
+    data = rec.simulate_dataset_from_unitary(np.eye(5), 1000, 0, [((1, 2), (3, 4))])
+    assert (data.visibilities[0].value, data.visibilities[0].sigma) == (0.0, 1.0)
 
 
 def test_simulate_validation():

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from bosonsim import is_unitary, random_unitary
+from bosonsim import (
+    FitConfig,
+    fit,
+    is_unitary,
+    random_circuit,
+    random_unitary,
+    sample,
+    simulate_dataset_from_unitary,
+)
 
 BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
 
@@ -44,3 +52,20 @@ def test_random_unitary_seed_sensitivity():
 def test_random_unitary_rejects_zero_modes():
     with pytest.raises(ValueError):
         random_unitary(0, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.inf, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: random_unitary(3, seed),
+        lambda seed: random_circuit(seed),
+        lambda seed: sample(np.eye(2), (1, 0), count=1, seed=seed),
+        lambda seed: simulate_dataset_from_unitary(np.eye(5), 100, seed, []),
+        lambda seed: fit(None, FitConfig(seed=seed)),
+    ],
+    ids=["random_unitary", "random_circuit", "sample", "simulate", "fit"],
+)
+def test_seeded_calls_reject_a_seed_that_is_not_a_nonnegative_integer(call, seed):
+    with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+        call(seed)
