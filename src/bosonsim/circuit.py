@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .unitary import _is_integer, _seeded_rng
+from .unitary import _integer, _seeded_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,11 +58,7 @@ class Coupler:
     eta: float
 
     def __post_init__(self):
-        if not _is_integer(self.mode):
-            raise ValueError(f"coupler mode must be an integer, got {self.mode!r}")
-        object.__setattr__(self, "mode", int(self.mode))
-        if self.mode < 1:
-            raise ValueError(f"coupler mode must be >= 1, got {self.mode}")
+        object.__setattr__(self, "mode", _integer(self.mode, "coupler mode", 1))
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError(f"reflectivity must lie in [0, 1], got {self.eta}")
 
@@ -75,11 +71,7 @@ class PhaseShifter:
     phi: float
 
     def __post_init__(self):
-        if not _is_integer(self.mode):
-            raise ValueError(f"phase mode must be an integer, got {self.mode!r}")
-        object.__setattr__(self, "mode", int(self.mode))
-        if self.mode < 1:
-            raise ValueError(f"phase mode must be >= 1, got {self.mode}")
+        object.__setattr__(self, "mode", _integer(self.mode, "phase mode", 1))
         if not (0.0 <= self.phi < TWO_PI):
             raise ValueError(f"phase must lie in [0, 2*pi), got {self.phi}")
 
@@ -95,9 +87,7 @@ class OpticalCircuit:
     elements: tuple[CircuitElement, ...]
 
     def __post_init__(self):
-        if not (_is_integer(self.mode_count) and self.mode_count >= 1):
-            raise ValueError(f"mode count must be a positive integer, got {self.mode_count!r}")
-        object.__setattr__(self, "mode_count", int(self.mode_count))
+        object.__setattr__(self, "mode_count", _integer(self.mode_count, "mode count", 1))
         object.__setattr__(self, "elements", tuple(self.elements))
         m = self.mode_count
         for e in self.elements:

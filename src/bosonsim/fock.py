@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, DegeneratePostselectionError, SizeLimitError
 from .permanent import RYSER_LIMIT, permanent_ryser
-from .unitary import UNITARY_TOL, _is_integer, _seeded_rng, as_square_matrix, is_unitary
+from .unitary import UNITARY_TOL, _integer, _seeded_rng, as_square_matrix, is_unitary
 
 BASIS_GUARD = 10_000_000
 COLLISION_FREE_FLOOR = 1e-12
@@ -27,11 +27,7 @@ _FACTORIAL = np.array([math.factorial(k) for k in range(RYSER_LIMIT + 1)], dtype
 
 def as_occupation(state) -> tuple[int, ...]:
     """Normalize to a tuple of occupation numbers, rejecting bad entries."""
-    occ = []
-    for x in state:
-        if not (_is_integer(x) and x >= 0):
-            raise ValueError(f"occupations must be nonnegative integers, got {x!r}")
-        occ.append(int(x))
+    occ = [_integer(x, "occupation") for x in state]
     if not occ:
         raise ValueError("occupation vector needs at least one mode")
     return tuple(occ)
@@ -58,11 +54,7 @@ def enumerate_basis(m: int, n: int) -> list[tuple[int, ...]]:
     The first state is (n, 0, ..., 0), the last (0, ..., 0, n), and the
     count is C(m+n-1, n).  Raises CapacityError beyond the 1e7 guard.
     """
-    if not (_is_integer(m) and m >= 1):
-        raise ValueError(f"mode count must be a positive integer, got {m!r}")
-    if not (_is_integer(n) and n >= 0):
-        raise ValueError(f"photon number must be a nonnegative integer, got {n!r}")
-    m, n = int(m), int(n)
+    m, n = _integer(m, "mode count", 1), _integer(n, "photon number")
     size = basis_size(m, n)
     if size > BASIS_GUARD:
         raise CapacityError(f"basis of {size} states exceeds the {BASIS_GUARD} guard")
@@ -193,8 +185,7 @@ def collision_free_distribution(U, input_state) -> OutputDistribution:
 
 def sample(U, input_state, count: int, seed: int, collision_free: bool = False) -> list[tuple[int, ...]]:
     """``count`` i.i.d. output states drawn by inverse CDF over the exact distribution."""
-    if count < 1:
-        raise ValueError("count must be a positive integer")
+    count = _integer(count, "count", 1)
     rng = _seeded_rng(seed)
     builder = collision_free_distribution if collision_free else full_distribution
     dist = builder(U, input_state)

@@ -33,7 +33,7 @@ from .circuit import (
 )
 from .errors import NonConvergenceError, UndefinedVisibilityError
 from .interference import CLASSICAL_RATE_FLOOR, _mode_tuple
-from .unitary import _seeded_rng, as_square_matrix
+from .unitary import _integer, _is_integer, _seeded_rng, as_square_matrix
 
 UNDEFINED_PENALTY = 1e6
 DEFAULT_PAIR_COUNT = 40
@@ -129,10 +129,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        for field in ("restarts", "max_iterations"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field, 1))
         if not (math.isfinite(self.tolerance) and self.tolerance > MIN_TOLERANCE):
             raise ValueError(
                 f"tolerance must be finite and above machine epsilon ({MIN_TOLERANCE:.3g}), "
@@ -364,11 +362,11 @@ def default_visibility_pairs(U, count: int = DEFAULT_PAIR_COUNT) -> list[PairSpe
     u = _checked_network(U)
     modes = range(1, DEFAULT_MODES + 1)
     pairs = list(itertools.product(itertools.combinations(modes, 2), repeat=2))
-    if not 0 <= count <= len(pairs):
-        raise ValueError(f"visibility pair count must lie in 0..{len(pairs)}, got {count}")
+    if not (_is_integer(count) and 0 <= count <= len(pairs)):
+        raise ValueError(f"visibility pair count must lie in 0..{len(pairs)}, got {count!r}")
     _, classical = _two_photon_rates(u, _pair_index_arrays(pairs))
     order = np.argsort(-np.round(classical, PAIR_RANK_DECIMALS), kind="stable")
-    return [pairs[j] for j in order[:count]]
+    return [pairs[j] for j in order[:int(count)]]
 
 
 def simulate_dataset_from_unitary(
@@ -383,8 +381,7 @@ def simulate_dataset_from_unitary(
     quantum and classical rates, with the uncertainty propagated from
     both counts, and clipped to [-1, 1].
     """
-    if counts_per_setting < 1:
-        raise ValueError("counts_per_setting must be a positive integer")
+    counts_per_setting = _integer(counts_per_setting, "counts_per_setting", 1)
     u = _checked_network(U)
     if visibility_pairs is None:
         visibility_pairs = default_visibility_pairs(u)

@@ -1,4 +1,8 @@
-"""Shared input checks, unitarity checking and seeded Haar-random unitaries."""
+"""Shared input checks, unitarity checking and seeded Haar-random unitaries.
+
+``_integer`` is the one integer check: every count, size, mode index and
+seed the library takes goes through it.
+"""
 
 from __future__ import annotations
 
@@ -13,11 +17,17 @@ def _is_integer(x) -> bool:
         isinstance(x, (float, np.floating)) and float(x).is_integer())
 
 
+def _integer(x, field: str, low: int = 0) -> int:
+    """x as an int, after checking it is an integer (see _is_integer) of at least low (0 or 1)."""
+    if not (_is_integer(x) and x >= low):
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{field} must be a {kind} integer, got {x!r}")
+    return int(x)
+
+
 def _seeded_rng(seed) -> np.random.Generator:
     """numpy's default generator for a seed, which must be a nonnegative integer."""
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(_integer(seed, "seed"))
 
 
 def as_square_matrix(matrix) -> np.ndarray:
@@ -33,8 +43,8 @@ def as_square_matrix(matrix) -> np.ndarray:
 def is_unitary(matrix, tol: float) -> bool:
     """True iff the max-norm of M^dagger M - I is at most tol."""
     m = as_square_matrix(matrix)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     gram = m.conj().T @ m
     return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= tol)
 
@@ -46,8 +56,7 @@ def random_unitary(m: int, seed: int) -> np.ndarray:
     phases of the R diagonal into Q, which makes the distribution
     right-invariant (plain QR alone is not Haar).
     """
-    if m < 1:
-        raise ValueError("mode count must be a positive integer")
+    m = _integer(m, "mode count", 1)
     rng = _seeded_rng(seed)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)

@@ -204,17 +204,17 @@ def test_wrap_phases():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: Coupler(0, 0.5), "coupler mode must be >= 1, got 0"),
-        (lambda: PhaseShifter(0, 0.5), "phase mode must be >= 1, got 0"),
+        (lambda: Coupler(0, 0.5), "coupler mode must be a positive integer, got 0"),
+        (lambda: PhaseShifter(0, 0.5), "phase mode must be a positive integer, got 0"),
         (lambda: OpticalCircuit(0, ()), "mode count must be a positive integer"),
         (lambda: OpticalCircuit(2, ("mirror",)), "unknown circuit element 'mirror'"),
         (lambda: compile_circuit(OpticalCircuit(3, (Coupler(1.5, 0.3),))),
-         "coupler mode must be an integer, got 1.5"),
+         "coupler mode must be a positive integer, got 1.5"),
         (lambda: compile_circuit(OpticalCircuit(2.5, ())),
          "mode count must be a positive integer, got 2.5"),
         (lambda: compile_circuit(OpticalCircuit(3, (PhaseShifter(2.5, 0.3),))),
-         "phase mode must be an integer, got 2.5"),
-        (lambda: Coupler(np.nan, 0.3), "coupler mode must be an integer, got nan"),
+         "phase mode must be a positive integer, got 2.5"),
+        (lambda: Coupler(np.nan, 0.3), "coupler mode must be a positive integer, got nan"),
     ],
 )
 def test_circuit_rejects_bad_modes_and_elements(make, message):

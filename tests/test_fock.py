@@ -292,11 +292,11 @@ def test_photon_cap_is_inclusive():
 @pytest.mark.parametrize(
     "state, message",
     [
-        ((1, -1, 0), "nonnegative integers, got -1"),
-        ((1, 0.5, 0), "nonnegative integers, got 0.5"),
+        ((1, -1, 0), "occupation must be a nonnegative integer, got -1"),
+        ((1, 0.5, 0), "occupation must be a nonnegative integer, got 0.5"),
         ((), "at least one mode"),
-        ((np.inf, 0, 0), "nonnegative integers, got inf"),
-        ((1, np.nan, 0), "nonnegative integers, got nan"),
+        ((np.inf, 0, 0), "occupation must be a nonnegative integer, got inf"),
+        ((1, np.nan, 0), "occupation must be a nonnegative integer, got nan"),
     ],
 )
 def test_as_occupation_rejects_bad_entries(state, message):
@@ -306,7 +306,7 @@ def test_as_occupation_rejects_bad_entries(state, message):
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_full_distribution_rejects_a_non_finite_occupation(bad):
-    with pytest.raises(ValueError, match="occupations must be nonnegative integers"):
+    with pytest.raises(ValueError, match=f"occupation must be a nonnegative integer, got {bad!r}"):
         full_distribution(random_unitary(4, 1), (bad, 0, 0, 0))
 
 
