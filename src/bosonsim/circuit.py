@@ -6,7 +6,8 @@ power reflectivity eta applies the block
 
     [[T, iR], [iR, T]],   T = sqrt(1 - eta),  R = sqrt(eta),
 
-and a phase shifter multiplies mode i by exp(i*phi).
+and a phase shifter multiplies mode i by exp(i*phi).  The fit writes the
+same block as T = cos(theta), R = sin(theta), so eta = sin(theta)^2.
 """
 
 from __future__ import annotations
@@ -108,16 +109,15 @@ class OpticalCircuit:
         return [e for e in self.elements if isinstance(e, PhaseShifter)]
 
 
-def _couple(u: np.ndarray, i: int, eta, derivative: bool = False) -> None:
+def _couple(u: np.ndarray, i: int, t, r, derivative: bool = False) -> None:
     """Rows i, i+1 of u (0-based) <- B @ those rows, in place.
 
-    B is the coupler block [[t, i*r], [i*r, t]] with t = sqrt(1 - eta) and
-    r = sqrt(eta), or with ``derivative`` its eta-derivative dB/deta, which
-    needs 0 < eta < 1.  B is symmetric, so on u.T this right-multiplies u by it.
+    B is the coupler block [[t, i*r], [i*r, t]], or with ``derivative`` its
+    theta-derivative dB/dtheta = [[-r, i*t], [i*t, -r]] when t = cos(theta)
+    and r = sin(theta).  B is symmetric, so on u.T this right-multiplies u by it.
     """
-    t, r = math.sqrt(1.0 - eta), math.sqrt(eta)
     if derivative:
-        t, r = -0.5 / t, 0.5 / r
+        t, r = -r, t
     rows = u[i : i + 2]
     rows[:] = t * rows + 1j * r * rows[::-1]
 
@@ -130,7 +130,7 @@ def _shift_row(u: np.ndarray, i: int, phi) -> None:
 def _apply_element(u: np.ndarray, element: CircuitElement) -> None:
     """u <- (unitary of element) @ u, in place."""
     if isinstance(element, Coupler):
-        _couple(u, element.mode - 1, element.eta)
+        _couple(u, element.mode - 1, math.sqrt(1.0 - element.eta), math.sqrt(element.eta))
     else:
         _shift_row(u, element.mode - 1, element.phi)
 
@@ -180,11 +180,26 @@ def random_circuit(seed: int) -> OpticalCircuit:
     return default_topology(etas, wrap_phases(phis))
 
 
+def _parameter_vector(etas, phis) -> np.ndarray:
+    """The vector compiler's parameters thetas + phis, with theta = arcsin(sqrt(eta))."""
+    return np.concatenate([np.arcsin(np.sqrt(np.asarray(etas, dtype=float))),
+                           np.asarray(phis, dtype=float)])
+
+
+def _vector_step(u: np.ndarray, row: int, value: float, coupler: bool,
+                 derivative: bool = False) -> None:
+    """One step of the vector compiler: a coupler at theta = value, or a phase value."""
+    if coupler:
+        _couple(u, row, math.cos(value), math.sin(value), derivative)
+    else:
+        _shift_row(u, row, value)
+
+
 def _vector_unitary(x, prefixes=None) -> np.ndarray:
-    """The canonical network's unitary at parameter vector x = etas + phis.
+    """The canonical network's unitary at parameter vector x = thetas + phis.
 
     Walks DEFAULT_STEPS with the elements' row updates and builds no circuit
-    objects; phases need no wrapping.  If ``prefixes`` is a list, the
+    objects; no angle needs wrapping.  If ``prefixes`` is a list, the
     product of the steps before each step is appended to it.
     """
     values = np.asarray(x, dtype=float).tolist()
@@ -192,7 +207,7 @@ def _vector_unitary(x, prefixes=None) -> np.ndarray:
     for row, k, coupler in DEFAULT_STEPS:
         if prefixes is not None:
             prefixes.append(u.copy())
-        (_couple if coupler else _shift_row)(u, row, values[k])
+        _vector_step(u, row, values[k], coupler)
     return u
 
 
@@ -203,8 +218,8 @@ def _unitary_jacobian(x):
     product of the steps before it and S_s of those after it.  A phase
     gives the outer product i S_s[:, row] (G_s P_s)[row, :]; a coupler
     gives S_s[:, rows] dB P_s[rows, :] with dB its 2 x 2 block
-    differentiated in eta.  S_s is kept transposed, so the symmetric row
-    updates extend it by one step each.  Needs 0 < eta < 1.
+    differentiated in theta, which is finite for every theta.  S_s is
+    kept transposed, so the symmetric row updates extend it by one step each.
     """
     values = np.asarray(x, dtype=float).tolist()
     prefixes: list[np.ndarray] = []
@@ -215,9 +230,9 @@ def _unitary_jacobian(x):
     for s, (row, k, coupler) in reversed(list(enumerate(DEFAULT_STEPS))):
         if coupler:
             rows = prefixes[s][row : row + 2].copy()
-            _couple(rows, 0, values[k], derivative=True)
+            _vector_step(rows, 0, values[k], True, derivative=True)
             du[k] = suffix_t[row : row + 2].T @ rows
         else:
             du[k] = 1j * np.outer(suffix_t[row], prefixes[s + 1][row])
-        (_couple if coupler else _shift_row)(suffix_t, row, values[k])
+        _vector_step(suffix_t, row, values[k], coupler)
     return u, du

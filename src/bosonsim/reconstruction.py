@@ -10,14 +10,15 @@ datasets for round-trip testing.
 
 from __future__ import annotations
 
+import enum
 import functools
 import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .circuit import (
     DEFAULT_MODES,
@@ -25,6 +26,7 @@ from .circuit import (
     PHI_COUNT,
     TWO_PI,
     OpticalCircuit,
+    _parameter_vector,
     _unitary_jacobian,
     _vector_unitary,
     compile_circuit,
@@ -40,8 +42,19 @@ DEFAULT_PAIR_COUNT = 40
 # Classical rates are compared at this many decimals when ranking pairs, so
 # rates that differ only by rounding noise tie and break lexicographically.
 PAIR_RANK_DECIMALS = 12
-# Smallest accepted fit tolerance: least_squares ignores tolerances below it.
+# Smallest accepted fit tolerance: a relative change of the cost or of the
+# parameters below machine epsilon cannot be resolved.
 MIN_TOLERANCE = float(np.finfo(float).eps)
+# Levenberg-Marquardt damping: its start, its floor, and the value past
+# which no step can lower the cost any more.  Each parameter is damped by
+# the running maximum of its squared Jacobian column, floored at SCALE_FLOOR
+# times the largest.  Both floors keep the damped system solvable: the
+# Jacobian has rank 12 of 19, as five phases change no observable and two
+# more phase combinations are degenerate.
+INITIAL_DAMPING = 1e-3
+MIN_DAMPING = 1e-12
+MAX_DAMPING = 1e16
+SCALE_FLOOR = 1e-8
 
 logger = logging.getLogger("bosonsim")
 
@@ -139,19 +152,39 @@ class FitConfig:
         _seeded_rng(self.seed)  # rejects a seed that is not a nonnegative integer
 
 
+class Stop(enum.IntEnum):
+    """Why one restart of ``least_squares`` ended, with tolerance ``tol``."""
+
+    BUDGET = 0  # max_iterations residual evaluations were spent
+    GRADIENT = 1  # each gradient entry is at most tol * |residuals| * sqrt(its damping)
+    COST = 2  # an accepted step lowered the cost by at most tol * cost
+    STEP = 3  # an accepted step p had |p| <= tol * (tol + |x|)
+    NO_STEP = 4  # the damping passed MAX_DAMPING with no step that lowers the cost
+
+
+class LeastSquaresResult(NamedTuple):
+    """End point x, its residuals, evaluation counts and the ``Stop`` code."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    njev: int
+    status: Stop
+
+
 @dataclass(frozen=True)
 class RestartRecord:
     """How one restart of a fit ended.
 
     ``cost`` is the sum of squared weighted residuals at its end point;
-    ``status`` is the ``least_squares`` termination status.
+    ``status`` is the ``Stop`` code of ``least_squares``.
     """
 
     start: int
     cost: float
     nfev: int
     njev: int
-    status: int
+    status: Stop
 
 
 @dataclass(frozen=True)
@@ -273,6 +306,60 @@ def _jacobian(x, data: MeasurementDataset, idx):
     return (np.concatenate([d_singles, d_vis], axis=1) / weight).T
 
 
+def _fold(thetas) -> np.ndarray:
+    """Angles with the same sin(theta)^2, reduced into [0, pi/2]."""
+    return np.abs(thetas - math.pi * np.round(thetas / math.pi))
+
+
+def least_squares(x, data: MeasurementDataset, idx, config: FitConfig) -> LeastSquaresResult:
+    """Levenberg-Marquardt minimization of |_residuals(x)|^2 from x = thetas + phis.
+
+    Each iteration solves (J^T J + lam D) p = -J^T f for the step p, where
+    D is Marquardt's diagonal scaling kept as a running maximum (Moré), and
+    takes it if it lowers the cost: lam then shrinks by Nielsen's rule, and
+    otherwise grows by a factor that doubles on each rejection.  Trial
+    points fold every theta into [0, pi/2], which covers each eta = sin^2
+    exactly once, so no bound is needed.  At most ``config.max_iterations``
+    residual evaluations are spent; ``Stop`` lists the ways it ends.
+    """
+    tol = config.tolerance
+    x = np.array(x, dtype=float)
+    f = _residuals(x, data, idx)
+    cost, nfev, njev = float(f @ f), 1, 0
+    scale = np.zeros(len(x))
+    lam, grow = INITIAL_DAMPING, 2.0
+    while True:
+        jac = _jacobian(x, data, idx)
+        njev += 1
+        hess, grad = jac.T @ jac, jac.T @ f
+        scale = np.maximum(scale, hess.diagonal())
+        damping = np.maximum(scale, SCALE_FLOOR * scale.max())
+        if np.all(np.abs(grad) <= tol * np.sqrt(cost * damping)):
+            return LeastSquaresResult(x, f, nfev, njev, Stop.GRADIENT)
+        while True:
+            if nfev >= config.max_iterations:
+                return LeastSquaresResult(x, f, nfev, njev, Stop.BUDGET)
+            step = np.linalg.solve(hess + np.diag(lam * damping), -grad)
+            trial = x + step
+            trial[:ETA_COUNT] = _fold(trial[:ETA_COUNT])
+            f_trial = _residuals(trial, data, idx)
+            nfev += 1
+            cost_trial = float(f_trial @ f_trial)
+            # actual over predicted reduction; the linear model predicts p^T (lam D p - J^T f)
+            gain = (cost - cost_trial) / (step @ (lam * damping * step - grad))
+            if gain > 0.0:
+                break
+            lam, grow = lam * grow, 2.0 * grow
+            if lam > MAX_DAMPING:
+                return LeastSquaresResult(x, f, nfev, njev, Stop.NO_STEP)
+        if cost - cost_trial <= tol * cost:
+            return LeastSquaresResult(trial, f_trial, nfev, njev, Stop.COST)
+        if np.linalg.norm(step) <= tol * (tol + np.linalg.norm(trial)):
+            return LeastSquaresResult(trial, f_trial, nfev, njev, Stop.STEP)
+        x, f, cost = trial, f_trial, cost_trial
+        lam, grow = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), MIN_DAMPING), 2.0
+
+
 def objective(params: CircuitParameters, data: MeasurementDataset) -> float:
     """Sum of squared uncertainty-weighted residuals over all observables.
 
@@ -280,56 +367,46 @@ def objective(params: CircuitParameters, data: MeasurementDataset) -> float:
     predicted visibility is undefined contributes a fixed 1e6 penalty.
     """
     idx = _pair_index_arrays(data.visibility_pairs())
-    r = _residuals(np.array([*params.etas, *params.phis]), data, idx)
+    r = _residuals(_parameter_vector(params.etas, params.phis), data, idx)
     return float(r @ r)
 
 
 def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> ReconstructionResult:
-    """Multi-start bounded least squares over the 19 network parameters.
+    """Multi-start Levenberg-Marquardt least squares over the 19 network parameters.
 
     Starting points come from the seeded generator; restarts run
     sequentially and the lowest final objective wins, ties broken by the
     earliest restart.  Restarting stops early once the objective falls to
-    ``config.tolerance``.  Reflectivities are bounded to [0, 1]; phases
-    are fitted unbounded and wrapped into [0, 2*pi) at the end so the
-    branch cut cannot inflate residuals.
+    ``config.tolerance``.  Each coupler is fitted by its angle theta, with
+    eta = sin(theta)^2, so every reflectivity stays in [0, 1] without a
+    bound; a start eta maps to theta = arcsin(sqrt(eta)).  Phases are
+    fitted unbounded and wrapped into [0, 2*pi) at the end so the branch
+    cut cannot inflate residuals.
 
     Each residual evaluation compiles the network straight from the
     parameter vector by in-place row updates.  The Jacobian is exact, not
     finite differences: dU/dx_k comes from the products of the steps
     before and after parameter k's element, and the observables follow
-    by the chain rule.  The "trf" method keeps reflectivities strictly
-    inside (0, 1), where the coupler derivatives are finite.  One DEBUG
-    line per restart goes to the "bosonsim" logger.
+    by the chain rule.  The coupler derivative in theta is finite for
+    every eta in [0, 1].  One DEBUG line per restart goes to the
+    "bosonsim" logger.
     """
     pairs = data.visibility_pairs()
     idx = _pair_index_arrays(pairs)
     rng = _seeded_rng(config.seed)
-    lower = np.array([0.0] * ETA_COUNT + [-np.inf] * PHI_COUNT)
-    upper = np.array([1.0] * ETA_COUNT + [np.inf] * PHI_COUNT)
     runs: list[tuple[RestartRecord, np.ndarray]] = []
     for start in range(config.restarts):
-        x0 = np.concatenate(
-            [rng.uniform(0.05, 0.95, ETA_COUNT), rng.uniform(0.0, TWO_PI, PHI_COUNT)]
+        x0 = _parameter_vector(
+            rng.uniform(0.05, 0.95, ETA_COUNT), rng.uniform(0.0, TWO_PI, PHI_COUNT)
         )
-        result = least_squares(
-            _residuals,
-            x0,
-            jac=_jacobian,
-            args=(data, idx),
-            bounds=(lower, upper),
-            method="trf",
-            xtol=config.tolerance,
-            ftol=config.tolerance,
-            gtol=config.tolerance,
-            max_nfev=config.max_iterations,
-        )
-        record = RestartRecord(start, float(result.fun @ result.fun), int(result.nfev),
-                               int(result.njev), int(result.status))
+        result = least_squares(x0, data, idx, config)
+        record = RestartRecord(start, float(result.fun @ result.fun), result.nfev,
+                               result.njev, result.status)
         runs.append((record, result.x))
         logger.debug(
-            "fit restart %d: cost %.6g, nfev %d, njev %d, status %d",
+            "fit restart %d: cost %.6g, nfev %d, njev %d, status %d (%s)",
             record.start, record.cost, record.nfev, record.njev, record.status,
+            record.status.name,
         )
         if record.cost <= config.tolerance:
             break
@@ -339,7 +416,7 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
             f"best objective {best.cost:.6g} never fell below the penalty floor"
         )
     params = CircuitParameters(
-        tuple(np.clip(best_x[:ETA_COUNT], 0.0, 1.0)),
+        tuple(np.sin(best_x[:ETA_COUNT]) ** 2),
         tuple(wrap_phases(best_x[ETA_COUNT:])),
     )
     return ReconstructionResult(

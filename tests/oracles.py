@@ -117,3 +117,19 @@ def central_differences(f, x, h=1e-6):
         step[k] = h
         columns.append((f(x + step) - f(x - step)) / (2.0 * h))
     return np.stack(columns, axis=1)
+
+
+def one_sided_differences(f, x, sides, h=1e-6):
+    """Jacobian of ``f`` at ``x`` from steps to one side of each coordinate.
+
+    Column k is (-3 f(x) + 4 f(x + s h e_k) - f(x + 2 s h e_k)) / (2 s h)
+    with s = sides[k], +1 or -1; its error is O(h^2).
+    """
+    x = np.asarray(x, dtype=float)
+    at_x = f(x)
+    columns = []
+    for k, side in enumerate(sides):
+        step = np.zeros_like(x)
+        step[k] = side * h
+        columns.append((-3.0 * at_x + 4.0 * f(x + step) - f(x + 2.0 * step)) / (2.0 * side * h))
+    return np.stack(columns, axis=1)

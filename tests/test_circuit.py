@@ -90,22 +90,44 @@ def test_row_updates_on_transpose_multiply_from_the_right():
     for element in (Coupler(2, 0.3), Coupler(4, 0.9), PhaseShifter(3, 1.2)):
         b = a.copy()
         if isinstance(element, Coupler):
-            _couple(b.T, element.mode - 1, element.eta)
+            _couple(b.T, element.mode - 1, np.sqrt(1.0 - element.eta), np.sqrt(element.eta))
         else:
             _shift_row(b.T, element.mode - 1, element.phi)
         assert np.max(np.abs(b - a @ dense_element(element, 5))) < 1e-14
 
 
+def coupler_block(theta):
+    """The 2 x 2 coupler block at eta = sin(theta)^2, written out from eta."""
+    return dense_element(Coupler(1, np.sin(theta) ** 2), 2)
+
+
 def test_row_update_applies_coupler_derivative():
-    # with derivative=True the update applies dG/deta
+    # with derivative=True and (t, r) = (cos, sin) of theta the update applies dG/dtheta
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
-    eta, h = 0.37, 1e-6
-    d_block = (dense_element(Coupler(1, eta + h), 2) - dense_element(Coupler(1, eta - h), 2)) / (
-        2 * h
-    )
+    theta, h = np.arcsin(np.sqrt(0.37)), 1e-6
+    d_block = (coupler_block(theta + h) - coupler_block(theta - h)) / (2 * h)
     got = rows.copy()
-    _couple(got, 0, eta, derivative=True)
+    _couple(got, 0, np.cos(theta), np.sin(theta), derivative=True)
+    assert np.max(np.abs(got - d_block @ rows)) < 1e-8
+
+
+@pytest.mark.parametrize("eta, side", [(0.0, 1.0), (1.0, -1.0)])
+def test_row_update_coupler_derivative_at_eta_ends(eta, side):
+    # at eta = 0 and 1 the theta-derivative is finite and matches the
+    # second-order one-sided difference that keeps theta in [0, pi/2]
+    def block(theta):  # from theta itself: 1 - eta loses its digits near eta = 1
+        t, r = np.cos(theta), np.sin(theta)
+        return np.array([[t, 1j * r], [1j * r, t]])
+
+    rng = np.random.default_rng(6)
+    rows = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    theta, h = np.arcsin(np.sqrt(eta)), side * 1e-6
+    assert np.max(np.abs(block(theta) - dense_element(Coupler(1, eta), 2))) < 1e-15
+    d_block = (-3 * block(theta) + 4 * block(theta + h) - block(theta + 2 * h)) / (2 * h)
+    got = rows.copy()
+    _couple(got, 0, np.cos(theta), np.sin(theta), derivative=True)
+    assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - d_block @ rows)) < 1e-8
 
 

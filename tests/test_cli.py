@@ -1,6 +1,10 @@
 import logging
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,3 +473,18 @@ def test_distribution_rejects_bad_input_token(balanced_file, capsys):
     code, out, err = run_cli(capsys, "distribution", balanced_file, "--input", "1,x")
     assert (code, out) == (2, "")
     assert err == "bosonsim: invalid occupation list '1,x'\n"
+
+
+def test_cli_start_up_loads_no_scipy():
+    # every command pays for the import of bosonsim.cli, so it must not pull in scipy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = ("import sys, bosonsim.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -3,9 +3,10 @@ import logging
 
 import numpy as np
 import pytest
-from oracles import central_differences, ranked_pairs_loop
+from oracles import central_differences, one_sided_differences, ranked_pairs_loop
 
 import bosonsim.reconstruction as rec
+from bosonsim.circuit import _parameter_vector
 
 from bosonsim import (
     CircuitParameters,
@@ -241,9 +242,26 @@ def test_fit_records_every_restart(caplog):
     best = min(result.restarts, key=lambda r: r.cost)
     assert result.iterations == best.nfev
     assert all(1 <= r.njev <= r.nfev <= 60 for r in result.restarts)
-    assert all(r.status in (-1, 0, 1, 2, 3, 4) for r in result.restarts)
+    assert all(isinstance(r.status, rec.Stop) for r in result.restarts)
+    assert {int(code) for code in rec.Stop} == {0, 1, 2, 3, 4}
     lines = [m for m in caplog.messages if m.startswith("fit restart")]
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7])
+def test_fit_budget_ends_restarts_with_budget_code(budget):
+    data = simulate_dataset(random_params(33), 1000, seed=4)
+    result = fit(data, FitConfig(restarts=3, max_iterations=budget, seed=6))
+    assert [r.status for r in result.restarts] == [rec.Stop.BUDGET] * 3
+    assert all(1 <= r.njev <= r.nfev <= budget for r in result.restarts)
+
+
+def test_fit_noiseless_restarts_end_on_convergence():
+    p = random_params(7)
+    data = predict_observables(p, default_visibility_pairs(network_of(p)))
+    result = fit(data, FitConfig(restarts=20, seed=11))
+    assert result.restarts[-1].status != rec.Stop.BUDGET
+    assert result.restarts[-1].cost <= 1e-12
 
 
 def test_fit_stops_early_and_records_only_the_restarts_run():
@@ -408,7 +426,7 @@ def test_default_pairs_count_bounds_inclusive():
 # ----------------------------------------------------------------------
 
 def vector_of(params) -> np.ndarray:
-    return np.array([*params.etas, *params.phis])
+    return _parameter_vector(params.etas, params.phis)
 
 
 def test_vector_unitary_matches_compile_circuit():
@@ -427,14 +445,23 @@ def test_vector_unitary_matches_compile_circuit_at_eta_corners():
 
 def interior_point(seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return np.concatenate([rng.uniform(0.1, 0.9, 8), rng.uniform(0.0, 2 * np.pi, 11)])
+    return _parameter_vector(rng.uniform(0.1, 0.9, 8), rng.uniform(0.0, 2 * np.pi, 11))
 
 
-def assert_jacobian_matches_differences(x, data):
+def assert_jacobian_matches_differences(x, data, sides=None):
+    # central differences in theta and phi, or one-sided ones toward sides
     idx = rec._pair_index_arrays(data.visibility_pairs())
     exact = rec._jacobian(x, data, idx)
-    numeric = central_differences(lambda y: rec._residuals(y, data, idx), x, h=1e-6)
+
+    def residuals(y):
+        return rec._residuals(y, data, idx)
+
+    if sides is None:
+        numeric = central_differences(residuals, x, h=1e-6)
+    else:
+        numeric = one_sided_differences(residuals, x, sides, h=1e-6)
     assert exact.shape == numeric.shape == (25 + len(data.visibilities), 19)
+    assert np.all(np.isfinite(exact))
     assert np.max(np.abs(exact - numeric)) <= 1e-6 * np.max(np.abs(numeric))
     return exact
 
@@ -463,7 +490,7 @@ def test_jacobian_row_is_zero_for_undefined_pair():
     # inputs 1, 2 reach outputs 4, 5 only through couplers 3 and 6, so making
     # both weak leaves (1, 2) -> (4, 5) with a classical rate below the floor
     x = interior_point(30)
-    x[2] = x[5] = 5e-4
+    x[2] = x[5] = np.arcsin(np.sqrt(5e-4))
     pairs = [((1, 2), (4, 5))] + default_visibility_pairs(rec._vector_unitary(x), 10)
     records = tuple(VisibilityRecord(i, o, 0.3, 0.02) for i, o in pairs)
     data = MeasurementDataset(np.full((5, 5), 0.2), np.full((5, 5), 0.01), records)
@@ -471,6 +498,25 @@ def test_jacobian_row_is_zero_for_undefined_pair():
     assert classical[0] < rec.CLASSICAL_RATE_FLOOR < classical[1:].min()
     exact = assert_jacobian_matches_differences(x, data)
     assert np.all(exact[25] == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobian_finite_and_one_sided_at_eta_zero_and_one(seed):
+    # two couplers at eta = 0 and two at eta = 1 exactly; the Jacobian there is
+    # finite and matches the one-sided differences that keep theta in [0, pi/2]
+    rng = np.random.default_rng(70 + seed)
+    etas = rng.uniform(0.1, 0.9, 8)
+    ends = rng.permutation(8)[:4]
+    etas[ends[:2]], etas[ends[2:]] = 0.0, 1.0
+    x = _parameter_vector(etas, rng.uniform(0.0, 2 * np.pi, 11))
+    assert np.array_equal(np.sin(x[:8]) ** 2 == 1.0, etas == 1.0)
+    u = rec._vector_unitary(x)
+    pairs = default_visibility_pairs(u, 10)
+    _, classical = rec._two_photon_rates(u, rec._pair_index_arrays(pairs))
+    assert classical.min() > rec.CLASSICAL_RATE_FLOOR
+    data = rec.simulate_dataset_from_unitary(u, 10_000, seed, pairs)
+    sides = np.concatenate([np.where(etas == 1.0, -1.0, 1.0), np.ones(11)])
+    assert_jacobian_matches_differences(x, data, sides)
 
 
 @pytest.mark.parametrize(
