@@ -27,6 +27,7 @@ from .fock import collision_free_distribution, full_distribution, sample
 from .interference import DEFAULT_SIGMA_FS, DelayConfig, hom_scan
 from .permanent import permanent_naive, permanent_ryser
 from .reconstruction import (
+    DEFAULT_PAIR_COUNT,
     FitConfig,
     default_visibility_pairs,
     fit,
@@ -206,16 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network_file")
     p.add_argument("--counts", type=int, required=True, help="counts per setting")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=40, help="number of visibility pairs")
+    p.add_argument("--pairs", type=int, default=DEFAULT_PAIR_COUNT, help="visibility pair count")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="fit network parameters to a dataset")
     p.add_argument("dataset_file")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=int, default=400)
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
+    p.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
+    p.add_argument("--tolerance", type=float, default=FitConfig.tolerance)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_reconstruct)
 

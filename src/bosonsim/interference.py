@@ -33,6 +33,9 @@ SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 CENTER_WAVELENGTH_NM = 789.0
 FILTER_FWHM_NM = 3.0
 
+Pair = tuple[int, int]
+PairSpec = tuple[Pair, Pair]
+
 
 def transform_limited_sigma_fs(
     center_nm: float = CENTER_WAVELENGTH_NM, fwhm_nm: float = FILTER_FWHM_NM
@@ -107,11 +110,17 @@ def _permutations(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
-def _rate_setup(U, in_modes, out_modes) -> tuple[int, np.ndarray]:
-    # Checks U and the modes; returns n and Per(M_tau) for each tau in _permutations(n).
+def _unitary_matrix(U) -> np.ndarray:
+    """U as a complex square matrix, after checking it is unitary within UNITARY_TOL."""
     u = as_square_matrix(U)
     if not is_unitary(u, UNITARY_TOL):
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
+    return u
+
+
+def _rate_setup(U, in_modes, out_modes) -> tuple[int, np.ndarray]:
+    # Checks U and the modes; returns n and Per(M_tau) for each tau in _permutations(n).
+    u = _unitary_matrix(U)
     ins = _mode_tuple(in_modes, u.shape[0], "input")
     outs = _mode_tuple(out_modes, u.shape[0], "output")
     if len(ins) != len(outs):
@@ -164,22 +173,52 @@ def hom_scan(U, in_modes, out_modes, scan_delays) -> list[tuple[DelayConfig, flo
     return [(cfg, _rate(n, permanents, overlap_from_delays(cfg))) for cfg in scan_delays]
 
 
-def visibility(U, in_pair, out_pair) -> float:
-    """Two-photon dip visibility V = (P_D - P_Q) / P_D.
+def _pair_spec(spec, m: int) -> PairSpec:
+    """An (input pair, output pair) spec as int tuples, each two distinct modes in 1..m."""
+    in_pair, out_pair = spec
+    checked = (_mode_tuple(in_pair, m, "input"), _mode_tuple(out_pair, m, "output"))
+    if len(checked[0]) != 2 or len(checked[1]) != 2:
+        raise ValueError(f"a visibility pair needs two input and two output modes, got {checked}")
+    return checked
 
-    P_Q is the coincidence rate for perfectly overlapped photons and P_D
-    the fully distinguishable (classical) rate.  Raises
-    UndefinedVisibilityError when the classical rate vanishes.
+
+def _pair_products(a, b, idx):
+    """Direct a[o1, i1] b[o2, i2] and crossed a[o1, i2] b[o2, i1] per indexed pair.
+
+    With a = b = U these are the two-photon amplitudes; a and b may carry
+    a leading stack axis.
     """
-    in_pair, out_pair = tuple(in_pair), tuple(out_pair)
-    if len(in_pair) != 2 or len(out_pair) != 2:
-        raise ValueError("visibility needs exactly two input and two output modes")
-    n, permanents = _rate_setup(U, in_pair, out_pair)
-    p_q = _rate(n, permanents, np.ones((2, 2)))
-    p_d = _rate(n, permanents, np.eye(2))
-    if p_d <= CLASSICAL_RATE_FLOOR:
-        raise UndefinedVisibilityError(
-            f"classical rate {p_d:.3e} for {in_pair} -> {out_pair} "
-            "is too small to define a visibility"
-        )
-    return (p_d - p_q) / p_d
+    i1, i2, o1, o2 = idx
+    return a[..., o1, i1] * b[..., o2, i2], a[..., o1, i2] * b[..., o2, i1]
+
+
+def _rates(direct, crossed):
+    """Quantum |D + X|^2 and classical |D|^2 + |X|^2 rates of direct and crossed amplitudes."""
+    return np.abs(direct + crossed) ** 2, np.abs(direct) ** 2 + np.abs(crossed) ** 2
+
+
+def _two_photon_rates(u, idx):
+    """Quantum (indistinguishable) and classical two-photon rates per indexed pair."""
+    return _rates(*_pair_products(u, u, idx))
+
+
+def _vis_from_rates(quantum, classical) -> np.ndarray:
+    """V = (C - Q) / C per pair; NaN where the classical rate C is at most CLASSICAL_RATE_FLOOR."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(classical > CLASSICAL_RATE_FLOOR, (classical - quantum) / classical, np.nan)
+
+
+def visibility(U, in_pair, out_pair) -> float:
+    """Two-photon dip visibility V = (P_D - P_Q) / P_D, in closed form.
+
+    P_Q = |D + X|^2 is the coincidence rate for perfectly overlapped
+    photons and P_D = |D|^2 + |X|^2 the fully distinguishable (classical)
+    rate, with D and X the direct and crossed two-photon amplitudes.
+    Raises UndefinedVisibilityError when the classical rate vanishes.
+    """
+    u = _unitary_matrix(U)
+    in_pair, out_pair = _pair_spec((in_pair, out_pair), u.shape[0])
+    value = _vis_from_rates(*_two_photon_rates(u, np.subtract((*in_pair, *out_pair), 1)))
+    if np.isnan(value):
+        raise UndefinedVisibilityError(f"classical rate vanishes for {in_pair} -> {out_pair}")
+    return float(value)

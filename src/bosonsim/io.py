@@ -24,14 +24,14 @@ import numpy as np
 
 from .circuit import DEFAULT_MODES, ETA_COUNT, PHI_COUNT, Coupler, OpticalCircuit, PhaseShifter
 from .fock import OutputDistribution
-from .interference import _mode_tuple
+from .interference import _mode_tuple, _pair_spec
 from .reconstruction import (
     CircuitParameters,
     MeasurementDataset,
     ReconstructionResult,
     VisibilityRecord,
-    _pair_spec,
 )
+from .unitary import _integer
 
 
 def format_float(x: float) -> str:
@@ -226,7 +226,7 @@ def _parse_observable_sections(path, sections, require_positive_sigma: bool):
             modes, value, s = _observable_line(
                 line, "visibility", "in1 in2 out1 out2 V sigma", require_positive_sigma
             )
-            in_pair, out_pair = _pair_spec((modes[:2], modes[2:]))
+            in_pair, out_pair = _pair_spec((modes[:2], modes[2:]), DEFAULT_MODES)
             if not -1.0 <= value <= 1.0:
                 raise ValueError(f"visibility {value} outside [-1, 1]")
             records.append(VisibilityRecord(in_pair, out_pair, value, s))
@@ -288,8 +288,8 @@ def write_result(dest, result: ReconstructionResult) -> None:
         _write_observables(fh, result.predicted)
 
 
-# Value type of each [fit] entry.
-_FIT_FIELDS = {"residual": float, "iterations": int, "restarts_used": int}
+# [fit] entries: a finite nonnegative residual, then two positive integer counts.
+_FIT_FIELDS = ("residual", "iterations", "restarts_used")
 
 
 def read_result(path) -> ReconstructionResult:
@@ -317,9 +317,11 @@ def read_result(path) -> ReconstructionResult:
                 raise ValueError(f"unknown [fit] entry {key!r}")
             if key in fit_fields:
                 raise ValueError(f"duplicate [fit] entry {key!r}")
-            fit_fields[key] = _FIT_FIELDS[key](value)
+            fit_fields[key] = float(value) if key == "residual" else _integer(int(value), key, 1)
             if not math.isfinite(fit_fields[key]):
                 raise ValueError(f"non-finite {key}")
+            if fit_fields[key] < 0:
+                raise ValueError(f"{key} must be nonnegative, got {value}")
         lineno = None
         missing = [key for key in _FIT_FIELDS if key not in fit_fields]
         if missing:

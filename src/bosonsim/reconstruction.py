@@ -34,8 +34,9 @@ from .circuit import (
     wrap_phases,
 )
 from .errors import NonConvergenceError, UndefinedVisibilityError
-from .interference import CLASSICAL_RATE_FLOOR, _mode_tuple
-from .unitary import _integer, _is_integer, _seeded_rng, as_square_matrix
+from .interference import (CLASSICAL_RATE_FLOOR, Pair, PairSpec, _pair_products, _pair_spec,
+                           _rates, _two_photon_rates, _unitary_matrix, _vis_from_rates)
+from .unitary import _integer, _is_integer, _seeded_rng
 
 UNDEFINED_PENALTY = 1e6
 DEFAULT_PAIR_COUNT = 40
@@ -57,9 +58,6 @@ MAX_DAMPING = 1e16
 SCALE_FLOOR = 1e-8
 
 logger = logging.getLogger("bosonsim")
-
-Pair = tuple[int, int]
-PairSpec = tuple[Pair, Pair]
 
 
 @dataclass(frozen=True)
@@ -199,57 +197,18 @@ class ReconstructionResult:
     restarts: tuple[RestartRecord, ...] = ()
 
 
-def _pair_spec(spec) -> PairSpec:
-    """An (input pair, output pair) spec as int tuples, each two distinct modes in 1..5."""
-    in_pair, out_pair = spec
-    checked = (_mode_tuple(in_pair, DEFAULT_MODES, "input"),
-               _mode_tuple(out_pair, DEFAULT_MODES, "output"))
-    if len(checked[0]) != 2 or len(checked[1]) != 2:
-        raise ValueError(f"a visibility pair needs two input and two output modes, got {checked}")
-    return checked
-
-
 def _pair_index_arrays(pairs: list[PairSpec]):
     """0-based index arrays i1, i2, o1, o2 of the checked pairs."""
-    specs = [_pair_spec(p) for p in pairs]
+    specs = [_pair_spec(p, DEFAULT_MODES) for p in pairs]
     idx = np.array([[*i, *o] for i, o in specs], dtype=np.intp).reshape(-1, 4) - 1
     return tuple(np.ascontiguousarray(idx.T))
 
 
-def _pair_products(a, b, idx):
-    """Direct a[o1, i1] b[o2, i2] and crossed a[o1, i2] b[o2, i1] per indexed pair.
-
-    With a = b = U these are the two-photon amplitudes; a and b may carry
-    a leading stack axis.
-    """
-    i1, i2, o1, o2 = idx
-    return a[..., o1, i1] * b[..., o2, i2], a[..., o1, i2] * b[..., o2, i1]
-
-
-def _two_photon_rates(u, idx):
-    """Quantum (indistinguishable) and classical two-photon rates per indexed pair."""
-    return _rates(*_pair_products(u, u, idx))
-
-
-def _rates(direct, crossed):
-    """Quantum |D + X|^2 and classical |D|^2 + |X|^2 rates of direct and crossed amplitudes."""
-    return np.abs(direct + crossed) ** 2, np.abs(direct) ** 2 + np.abs(crossed) ** 2
-
-
 def _checked_network(U) -> np.ndarray:
-    u = as_square_matrix(U)
-    if u.shape != (DEFAULT_MODES, DEFAULT_MODES):
-        raise ValueError(
-            f"expected a {DEFAULT_MODES} x {DEFAULT_MODES} matrix, got shape {u.shape}"
-        )
-    return u
-
-
-def _vis_from_rates(quantum, classical) -> np.ndarray:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(
-            classical > CLASSICAL_RATE_FLOOR, (classical - quantum) / classical, np.nan
-        )
+    u = _unitary_matrix(U)
+    if u.shape == (DEFAULT_MODES, DEFAULT_MODES):
+        return u
+    raise ValueError(f"expected a {DEFAULT_MODES} x {DEFAULT_MODES} matrix, got shape {u.shape}")
 
 
 def predict_observables(params: CircuitParameters, visibility_pairs) -> MeasurementDataset:
@@ -258,7 +217,7 @@ def predict_observables(params: CircuitParameters, visibility_pairs) -> Measurem
     Raises UndefinedVisibilityError if any requested pair has a vanishing
     classical rate.
     """
-    pairs = [_pair_spec(p) for p in visibility_pairs]
+    pairs = [_pair_spec(p, DEFAULT_MODES) for p in visibility_pairs]
     u = compile_circuit(params.circuit)
     vis = _vis_from_rates(*_two_photon_rates(u, _pair_index_arrays(pairs)))
     records = []
@@ -456,13 +415,13 @@ def simulate_dataset_from_unitary(
     with uncertainty sqrt(count)/total (a one-count floor keeps sigmas
     positive).  Each visibility is re-derived from Poisson draws of its
     quantum and classical rates, with the uncertainty propagated from
-    both counts, and clipped to [-1, 1].
+    both counts, and clipped to [-1, 1]; no classical count gives 0 +- 1.
     """
     counts_per_setting = _integer(counts_per_setting, "counts_per_setting", 1)
     u = _checked_network(U)
     if visibility_pairs is None:
         visibility_pairs = default_visibility_pairs(u)
-    pairs = [_pair_spec(p) for p in visibility_pairs]
+    pairs = [_pair_spec(p, DEFAULT_MODES) for p in visibility_pairs]
     quantum, classical = _two_photon_rates(u, _pair_index_arrays(pairs))
 
     rng = _seeded_rng(seed)
@@ -471,17 +430,15 @@ def simulate_dataset_from_unitary(
     with np.errstate(invalid="ignore", divide="ignore"):
         est = np.where(total > 0, counts / total, 1.0 / DEFAULT_MODES)
         sig = np.where(total > 0, np.sqrt(np.maximum(counts, 1)) / total, 1.0)
+    # pair by pair, the classical count n_d, then the quantum count n_q
+    n_d, n_q = rng.poisson(counts_per_setting * np.stack([classical, quantum], axis=1)).T
+    values = np.clip(np.nan_to_num(_vis_from_rates(n_q, n_d)), -1.0, 1.0)
     records = []
-    for j, (in_pair, out_pair) in enumerate(pairs):
-        n_d = int(rng.poisson(counts_per_setting * classical[j]))
-        n_q = int(rng.poisson(counts_per_setting * quantum[j]))
-        if n_d == 0:
-            value, sigma = 0.0, 1.0
-        else:
-            value = float(np.clip((n_d - n_q) / n_d, -1.0, 1.0))
-            q_eff = max(n_q, 1)
-            sigma = float(np.sqrt(q_eff / n_d**2 + q_eff**2 / n_d**3))
-        records.append(VisibilityRecord(in_pair, out_pair, value, sigma))
+    # sigma in exact integer arithmetic: n_d**3 overflows int64 at 1e8 counts
+    for (in_pair, out_pair), value, d, q in zip(pairs, values, n_d.tolist(), n_q.tolist()):
+        q = max(q, 1)
+        sigma = math.sqrt(q / d**2 + q**2 / d**3) if d else 1.0
+        records.append(VisibilityRecord(in_pair, out_pair, float(value), sigma))
     return MeasurementDataset(est, sig, tuple(records))
 
 

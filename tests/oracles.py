@@ -11,7 +11,9 @@ The permanent oracle evaluates Glynn's formula, not the Ryser formula
 of the production kernel, in 40-digit mpmath arithmetic, so its own
 rounding error is far below the kernel's.  The pair-ranking oracle
 ranks visibility pairs with a scalar loop, one pair at a time, as the
-reference for the vectorized ranking.
+reference for the vectorized ranking; the simulator oracle likewise
+draws each pair's Poisson counts and visibility estimate in a scalar
+loop, as the reference for the simulator's one stacked draw.
 
 The rate oracle evaluates the partly-distinguishable coincidence rate
 as the defining double sum over permutation pairs (sigma, rho) of
@@ -90,6 +92,33 @@ def ranked_pairs_loop(u, count):
             ranked.append((-classical, in_pair, out_pair))
     ranked.sort()
     return [(in_pair, out_pair) for _, in_pair, out_pair in ranked[:count]]
+
+
+def simulated_visibilities_loop(u, counts_per_setting, seed, pairs):
+    """(value, sigma) of each pair as the simulator draws it, one pair at a time.
+
+    After the 25 singles counts, each pair draws its classical count n_d
+    and then its quantum count n_q from the generator, with the rates of
+    the direct and crossed amplitudes computed here per pair.  Then
+    V = (n_d - n_q) / n_d clipped to [-1, 1] and sigma^2 = q / n_d^2 +
+    q^2 / n_d^3 with q = max(n_q, 1), in Python integers; n_d = 0 gives
+    (0, 1).
+    """
+    rng = np.random.default_rng(seed)
+    rng.poisson(counts_per_setting * np.abs(u) ** 2)
+    out = []
+    for (a, b), (c, d) in pairs:
+        direct = u[c - 1, a - 1] * u[d - 1, b - 1]
+        crossed = u[c - 1, b - 1] * u[d - 1, a - 1]
+        n_d = int(rng.poisson(counts_per_setting * (abs(direct) ** 2 + abs(crossed) ** 2)))
+        n_q = int(rng.poisson(counts_per_setting * abs(direct + crossed) ** 2))
+        if n_d == 0:
+            out.append((0.0, 1.0))
+            continue
+        q = max(n_q, 1)
+        out.append((float(np.clip((n_d - n_q) / n_d, -1.0, 1.0)),
+                    float(np.sqrt(q / n_d**2 + q**2 / n_d**3))))
+    return out
 
 
 def rate_pair_sum(a, s):

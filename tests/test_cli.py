@@ -321,6 +321,30 @@ def test_simulate_pairs_out_of_range_exit_code(circuit_file, capsys, pairs):
     assert "0..100" in err
 
 
+def test_simulate_rejects_non_unitary_matrix(tmp_path, capsys):
+    # distribution already rejected this file; simulate wrote a dataset from it
+    path = tmp_path / "twice.matrix"
+    io.write_matrix(path, 2 * np.eye(5))
+    for argv in (["simulate", str(path), "--counts", "100", "--seed", "1"],
+                 ["distribution", str(path), "--input", "1,1,0,0,0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "bosonsim: matrix is not unitary within 1e-08\n"
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    from bosonsim import FitConfig
+    from bosonsim.reconstruction import DEFAULT_PAIR_COUNT
+
+    parser = cli.build_parser()
+    args = parser.parse_args(["reconstruct", "data.txt"])
+    parsed = FitConfig(restarts=args.restarts, max_iterations=args.max_iterations,
+                       tolerance=args.tolerance, seed=args.seed)
+    assert parsed == FitConfig()
+    args = parser.parse_args(["simulate", "net.circuit", "--counts", "1", "--seed", "1"])
+    assert args.pairs == DEFAULT_PAIR_COUNT
+
+
 def test_reconstruct_malformed_dataset_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("[singles]\n1 1 0.5 zzz\n")

@@ -295,7 +295,7 @@ def test_visibility_accepts_iterators():
     expected = visibility(u, (1, 2), (3, 4))
     assert visibility(u, iter((1, 2)), iter((3, 4))) == expected
     assert visibility(u, (m for m in (1, 2)), [3, 4]) == expected
-    with pytest.raises(ValueError, match="exactly two"):
+    with pytest.raises(ValueError, match="needs two input and two output modes"):
         visibility(u, iter((1, 2, 3)), (3, 4))
 
 
@@ -303,6 +303,14 @@ def test_visibility_validates_network_once(monkeypatch):
     calls = _count_unitarity_checks(monkeypatch)
     visibility(random_unitary(4, 18), (1, 2), (3, 4))
     assert len(calls) == 1
+
+
+def test_visibility_is_the_closed_form(monkeypatch):
+    def no_permanent(_matrix):
+        raise AssertionError("visibility computed a permanent")
+
+    monkeypatch.setattr(interference, "permanent_ryser", no_permanent)
+    assert np.isclose(visibility(BALANCED, (1, 2), (1, 2)), 1.0, atol=1e-12)
 
 
 def test_non_integer_modes_are_rejected():

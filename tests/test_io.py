@@ -296,6 +296,10 @@ def _replace_line(lines, prefix, new):
         ("residual ", ["residual 0.1", "residual 0.2"], 1, r"duplicate \[fit\] entry 'residual'"),
         ("iterations ", ["iterations 7", "nfev 7"], 1, r"unknown \[fit\] entry 'nfev'"),
         ("iterations ", ["iterations seven"], 0, "invalid literal"),
+        ("iterations ", ["iterations -5"], 0, "iterations must be a positive integer, got -5"),
+        ("restarts_used ", ["restarts_used 0"], 0,
+         "restarts_used must be a positive integer, got 0"),
+        ("residual ", ["residual -0.5"], 0, "residual must be nonnegative, got -0.5"),
         ("eta 3 ", ["eta 1"], 0, "expected 'eta k v' or 'phi k v'"),
     ],
 )

@@ -3,7 +3,12 @@ import logging
 
 import numpy as np
 import pytest
-from oracles import central_differences, one_sided_differences, ranked_pairs_loop
+from oracles import (
+    central_differences,
+    one_sided_differences,
+    ranked_pairs_loop,
+    simulated_visibilities_loop,
+)
 
 import bosonsim.reconstruction as rec
 from bosonsim.circuit import _parameter_vector
@@ -15,6 +20,7 @@ from bosonsim import (
     NonConvergenceError,
     UndefinedVisibilityError,
     VisibilityRecord,
+    coincidence_rate,
     compile_circuit,
     default_topology,
     default_visibility_pairs,
@@ -24,7 +30,6 @@ from bosonsim import (
     random_circuit,
     random_unitary,
     simulate_dataset,
-    visibility,
 )
 
 ALL_PAIRS_SEED = 5
@@ -68,8 +73,7 @@ def test_predict_single_active_coupler_full_visibility():
 
 
 def test_predict_matches_interference_visibility():
-    import itertools
-
+    # the closed form against 1 - P_Q / P_D from the n-photon permanent rates
     p = random_params(2)
     u = network_of(p)
     pairs = [
@@ -78,10 +82,11 @@ def test_predict_matches_interference_visibility():
         for op in itertools.combinations(range(1, 6), 2)
     ]
     data = predict_observables(p, pairs)
+    assert len(data.visibilities) == 100
     for record in data.visibilities:
-        assert np.isclose(
-            record.value, visibility(u, record.in_pair, record.out_pair), atol=1e-12
-        )
+        i, o = record.in_pair, record.out_pair
+        dip = 1.0 - coincidence_rate(u, i, o, np.ones((2, 2))) / coincidence_rate(u, i, o, np.eye(2))
+        assert np.isclose(record.value, dip, atol=1e-12)
     assert np.allclose(data.singles, np.abs(u) ** 2, atol=1e-15)
 
 
@@ -363,6 +368,27 @@ def test_simulate_pair_without_classical_counts():
     # on the identity no path joins modes 1, 2 to 3, 4: the classical draw is 0
     data = rec.simulate_dataset_from_unitary(np.eye(5), 1000, 0, [((1, 2), (3, 4))])
     assert (data.visibilities[0].value, data.visibilities[0].sigma) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("counts", [1, 3, 20_000, 10**8])
+def test_simulate_matches_per_pair_loop(counts):
+    for seed in range(3):
+        u = network_of(random_params(90 + seed))
+        pairs = default_visibility_pairs(u, 100)
+        data = rec.simulate_dataset_from_unitary(u, counts, seed, pairs)
+        got = [(r.value, r.sigma) for r in data.visibilities]
+        assert got == simulated_visibilities_loop(u, counts, seed, pairs)
+        assert data.visibility_pairs() == pairs
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda u: rec.simulate_dataset_from_unitary(u, 1000, seed=1),
+    lambda u: rec.simulate_dataset_from_unitary(u, 1000, seed=1, visibility_pairs=[]),
+    lambda u: default_visibility_pairs(u, 10),
+], ids=["default_pairs", "no_pairs", "pair_ranking"])
+def test_simulate_rejects_non_unitary_matrix(simulate):
+    with pytest.raises(ValueError, match=r"matrix is not unitary within 1e-08"):
+        simulate(2 * np.eye(5))
 
 
 def test_simulate_validation():

@@ -3,7 +3,8 @@ a span in every layer the workload declares.
 
 The tracer wraps functions under the names their callers look them up by,
 so a rename or a re-routed call that the benchmark would only notice at
-``bench/run.py --trace 1`` fails here first.
+``bench/run.py --trace 1`` fails here first. The ``reconstruct`` layer sweep,
+which calls the fit's private helpers by name, runs here too.
 """
 
 import json
@@ -57,19 +58,32 @@ def test_every_workload_has_a_tiny_job():
     assert set(TINY_JOBS) == set(WORKLOADS)
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_tiny_job_covers_declared_layers(tmp_path, name):
-    argv = TINY_JOBS[name](tmp_path)
-    spans_path = tmp_path / "job.spans"
+def _run_tracer(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [sys.executable, str(BENCH / "tracer.py"), "--spans", str(spans_path), "--", *argv],
+    return subprocess.run(
+        [sys.executable, str(BENCH / "tracer.py"), *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_tiny_job_covers_declared_layers(tmp_path, name):
+    argv = TINY_JOBS[name](tmp_path)
+    spans_path = tmp_path / "job.spans"
+    proc = _run_tracer(tmp_path, "--spans", str(spans_path), "--", *argv)
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(spans_path.read_text())["spans"]
     missing = set(WORKLOADS[name].layers) - harness.layers_seen(spans)
     assert not missing, f"{name}: no spans in layers {sorted(missing)}"
+
+
+def test_reconstruct_sweep_runs(tmp_path):
+    # the sweep calls the fit's private helpers by name; no CLI job reaches them that way
+    proc = _run_tracer(tmp_path, "--sweep", "reconstruct", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [row["layer"] for row in rows] == ["compile_circuit", "fit residual eval", "fit"]
+    assert all(row["seconds"] > 0 and row["calls"] >= 1 for row in rows)
