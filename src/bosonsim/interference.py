@@ -203,9 +203,10 @@ def _two_photon_rates(u, idx):
 
 
 def _vis_from_rates(quantum, classical) -> np.ndarray:
-    """V = (C - Q) / C per pair; NaN where the classical rate C is at most CLASSICAL_RATE_FLOOR."""
+    """V = (C - Q) / C per pair clipped to [-1, 1]; NaN where C is at most CLASSICAL_RATE_FLOOR."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(classical > CLASSICAL_RATE_FLOOR, (classical - quantum) / classical, np.nan)
+        vis = np.where(classical > CLASSICAL_RATE_FLOOR, (classical - quantum) / classical, np.nan)
+        return np.clip(vis, -1.0, 1.0)
 
 
 def visibility(U, in_pair, out_pair) -> float:

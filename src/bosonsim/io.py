@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuit import DEFAULT_MODES, ETA_COUNT, PHI_COUNT, Coupler, OpticalCircuit, PhaseShifter
 from .fock import OutputDistribution
-from .interference import _mode_tuple, _pair_spec
+from .interference import _mode_tuple
 from .reconstruction import (
     CircuitParameters,
     MeasurementDataset,
@@ -126,17 +126,14 @@ def read_circuit(path) -> OpticalCircuit:
         fields = header.split()
         if len(fields) != 2 or fields[0] != "modes":
             raise ValueError(f"expected 'modes m', got {header!r}")
-        try:
-            mode_count = int(fields[1])
-        except ValueError:
-            raise ValueError(f"invalid mode count {fields[1]!r}") from None
+        mode_count = _integer(float(fields[1]), "mode count", 1)
         elements = []
         for lineno, line in lines[1:]:
             fields = line.split()
             if len(fields) == 3 and fields[0] == "coupler":
-                elements.append(Coupler(int(fields[1]), float(fields[2])))
+                elements.append(Coupler(float(fields[1]), float(fields[2])))
             elif len(fields) == 3 and fields[0] == "phase":
-                elements.append(PhaseShifter(int(fields[1]), float(fields[2])))
+                elements.append(PhaseShifter(float(fields[1]), float(fields[2])))
             else:
                 raise ValueError(f"expected 'coupler i eta' or 'phase i phi', got {line!r}")
         lineno = None
@@ -191,7 +188,7 @@ def _observable_line(line: str, entry: str, form: str, require_positive_sigma: b
     if len(fields) != len(form.split()):
         raise ValueError(f"expected '{form}', got {line!r}")
     try:
-        modes = [int(x) for x in fields[:-2]]
+        modes = [float(x) for x in fields[:-2]]
         value, sigma = float(fields[-2]), float(fields[-1])
     except ValueError:
         raise ValueError(f"invalid {entry} entry {line!r}") from None
@@ -226,10 +223,7 @@ def _parse_observable_sections(path, sections, require_positive_sigma: bool):
             modes, value, s = _observable_line(
                 line, "visibility", "in1 in2 out1 out2 V sigma", require_positive_sigma
             )
-            in_pair, out_pair = _pair_spec((modes[:2], modes[2:]), DEFAULT_MODES)
-            if not -1.0 <= value <= 1.0:
-                raise ValueError(f"visibility {value} outside [-1, 1]")
-            records.append(VisibilityRecord(in_pair, out_pair, value, s))
+            records.append(VisibilityRecord(modes[:2], modes[2:], value, s))
         lineno = None
         if np.isnan(singles).any():
             missing = int(np.isnan(singles).sum())
@@ -305,7 +299,7 @@ def read_result(path) -> ReconstructionResult:
             fields = line.split()
             if len(fields) != 3 or fields[0] not in params:
                 raise ValueError("expected 'eta k v' or 'phi k v'")
-            kind, k = fields[0], int(fields[1])
+            kind, k = fields[0], _integer(float(fields[1]), f"{fields[0]} index")
             if not 1 <= k <= counts[kind]:
                 raise ValueError(f"{kind} index {k} outside 1..{counts[kind]}")
             if k in params[kind]:
@@ -317,11 +311,13 @@ def read_result(path) -> ReconstructionResult:
                 raise ValueError(f"unknown [fit] entry {key!r}")
             if key in fit_fields:
                 raise ValueError(f"duplicate [fit] entry {key!r}")
-            fit_fields[key] = float(value) if key == "residual" else _integer(int(value), key, 1)
-            if not math.isfinite(fit_fields[key]):
-                raise ValueError(f"non-finite {key}")
-            if fit_fields[key] < 0:
-                raise ValueError(f"{key} must be nonnegative, got {value}")
+            number = float(value)
+            if key != "residual":
+                fit_fields[key] = _integer(number, key, 1)
+            elif math.isfinite(number) and number >= 0:
+                fit_fields[key] = number
+            else:
+                raise ValueError(f"residual must be finite and nonnegative, got {value}")
         lineno = None
         missing = [key for key in _FIT_FIELDS if key not in fit_fields]
         if missing:

@@ -80,17 +80,26 @@ class CircuitParameters:
 
 @dataclass(frozen=True)
 class VisibilityRecord:
-    """One measured (or predicted) visibility for an input/output mode pair."""
+    """One visibility of an input/output mode pair; it checks the pair, V in [-1, 1] and sigma."""
 
     in_pair: Pair
     out_pair: Pair
     value: float
     sigma: float
 
+    def __post_init__(self):
+        in_pair, out_pair = _pair_spec((self.in_pair, self.out_pair), DEFAULT_MODES)
+        object.__setattr__(self, "in_pair", in_pair)
+        object.__setattr__(self, "out_pair", out_pair)
+        if not -1.0 <= self.value <= 1.0:
+            raise ValueError(f"visibility {self.value} outside [-1, 1]")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("visibilities sigma values must be finite and nonnegative")
+
 
 @dataclass(frozen=True)
 class MeasurementDataset:
-    """Singles matrix P[out, in] with uncertainties, plus visibility records."""
+    """Singles matrix P[out, in] with uncertainties, plus visibility records (checked by each)."""
 
     singles: np.ndarray
     singles_sigma: np.ndarray
@@ -101,21 +110,14 @@ class MeasurementDataset:
         sigma = np.array(self.singles_sigma, dtype=float)
         if singles.shape != (DEFAULT_MODES, DEFAULT_MODES) or sigma.shape != singles.shape:
             raise ValueError(f"singles blocks must be {DEFAULT_MODES} x {DEFAULT_MODES}")
-        records = tuple(self.visibilities)
-        for name, values, low in (
-            ("singles", singles, 0.0),
-            ("singles_sigma", sigma, 0.0),
-            ("visibilities", [r.value for r in records], -np.inf),
-            ("visibilities sigma", [r.sigma for r in records], 0.0),
-        ):
-            if not np.all(np.isfinite(values) & np.greater_equal(values, low)):
-                bound = "finite" if low < 0 else "finite and nonnegative"
-                raise ValueError(f"{name} values must be {bound}")
+        for name, values in (("singles", singles), ("singles_sigma", sigma)):
+            if not np.all(np.isfinite(values) & (values >= 0)):
+                raise ValueError(f"{name} values must be finite and nonnegative")
         singles.flags.writeable = False
         sigma.flags.writeable = False
         object.__setattr__(self, "singles", singles)
         object.__setattr__(self, "singles_sigma", sigma)
-        object.__setattr__(self, "visibilities", records)
+        object.__setattr__(self, "visibilities", tuple(self.visibilities))
 
     def visibility_pairs(self) -> list[PairSpec]:
         return [(r.in_pair, r.out_pair) for r in self.visibilities]
@@ -140,14 +142,13 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for field in ("restarts", "max_iterations"):
-            object.__setattr__(self, field, _integer(getattr(self, field), field, 1))
+        for field, low in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, field, _integer(getattr(self, field), field, low))
         if not (math.isfinite(self.tolerance) and self.tolerance > MIN_TOLERANCE):
             raise ValueError(
                 f"tolerance must be finite and above machine epsilon ({MIN_TOLERANCE:.3g}), "
                 f"got {self.tolerance}"
             )
-        _seeded_rng(self.seed)  # rejects a seed that is not a nonnegative integer
 
 
 class Stop(enum.IntEnum):
@@ -217,12 +218,12 @@ def predict_observables(params: CircuitParameters, visibility_pairs) -> Measurem
     Raises UndefinedVisibilityError if any requested pair has a vanishing
     classical rate.
     """
-    pairs = [_pair_spec(p, DEFAULT_MODES) for p in visibility_pairs]
+    pairs = list(visibility_pairs)
     u = compile_circuit(params.circuit)
     vis = _vis_from_rates(*_two_photon_rates(u, _pair_index_arrays(pairs)))
     records = []
     for value, (in_pair, out_pair) in zip(vis, pairs):
-        if not np.isfinite(value):
+        if np.isnan(value):
             raise UndefinedVisibilityError(
                 f"classical rate vanishes for {in_pair} -> {out_pair}"
             )
@@ -415,13 +416,13 @@ def simulate_dataset_from_unitary(
     with uncertainty sqrt(count)/total (a one-count floor keeps sigmas
     positive).  Each visibility is re-derived from Poisson draws of its
     quantum and classical rates, with the uncertainty propagated from
-    both counts, and clipped to [-1, 1]; no classical count gives 0 +- 1.
+    both counts; no classical count gives 0 +- 1.
     """
     counts_per_setting = _integer(counts_per_setting, "counts_per_setting", 1)
     u = _checked_network(U)
     if visibility_pairs is None:
         visibility_pairs = default_visibility_pairs(u)
-    pairs = [_pair_spec(p, DEFAULT_MODES) for p in visibility_pairs]
+    pairs = list(visibility_pairs)
     quantum, classical = _two_photon_rates(u, _pair_index_arrays(pairs))
 
     rng = _seeded_rng(seed)
@@ -432,7 +433,7 @@ def simulate_dataset_from_unitary(
         sig = np.where(total > 0, np.sqrt(np.maximum(counts, 1)) / total, 1.0)
     # pair by pair, the classical count n_d, then the quantum count n_q
     n_d, n_q = rng.poisson(counts_per_setting * np.stack([classical, quantum], axis=1)).T
-    values = np.clip(np.nan_to_num(_vis_from_rates(n_q, n_d)), -1.0, 1.0)
+    values = np.nan_to_num(_vis_from_rates(n_q, n_d))
     records = []
     # sigma in exact integer arithmetic: n_d**3 overflows int64 at 1e8 counts
     for (in_pair, out_pair), value, d, q in zip(pairs, values, n_d.tolist(), n_q.tolist()):

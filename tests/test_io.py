@@ -69,7 +69,14 @@ def test_matrix_written_to_a_stream_matches_the_file(tmp_path):
     [
         (io.read_matrix, "# only a comment\n", r"f\.txt: no matrix rows found"),
         (io.read_circuit, "\n# only a comment\n", r"f\.txt: empty circuit file"),
-        (io.read_circuit, "modes 2.5\n", r"f\.txt:1: invalid mode count '2\.5'"),
+        (io.read_circuit, "modes 2.5\n",
+         r"f\.txt:1: mode count must be a positive integer, got 2\.5"),
+        (io.read_circuit, "modes inf\n",
+         r"f\.txt:1: mode count must be a positive integer, got inf"),
+        (io.read_circuit, "modes 5\ncoupler 1.5 0.5\n",
+         r"f\.txt:2: coupler mode must be a positive integer, got 1\.5"),
+        (io.read_circuit, "modes 5\nphase 2.5 0.5\n",
+         r"f\.txt:2: phase mode must be a positive integer, got 2\.5"),
         (io.read_result, "[parameters]\neta 1 0.5\n",
          r"f\.txt: missing \[parameters\] or \[fit\]"),
     ],
@@ -105,6 +112,15 @@ def test_circuit_parse_errors(tmp_path):
     path.write_text("modes 5\ncoupler 5 0.5\n")
     with pytest.raises(ValueError):
         io.read_circuit(path)
+
+
+def test_circuit_integers_accept_integral_floats(tmp_path):
+    path = tmp_path / "net.circuit"
+    path.write_text("modes 5.0\ncoupler 1.0 0.5\nphase 5.0 0.25\n")
+    circuit = io.read_circuit(path)
+    assert circuit.mode_count == 5
+    assert [e.mode for e in circuit.elements] == [1, 5]
+    assert all(type(x) is int for x in (circuit.mode_count, *(e.mode for e in circuit.elements)))
 
 
 def test_detect_network_kind(tmp_path):
@@ -228,6 +244,9 @@ def _full_singles(first_single: str = "1 1 0.2 0.01") -> list[str]:
         (_full_singles("1 6 0.2 0.01"), r":2: .*outside 1\.\.5"),
         (_full_singles("0 1 0.2 0.01"), r":2: .*outside 1\.\.5"),
         (_full_singles("1 1 -0.2 0.01"), r":2: negative probability"),
+        (_full_singles("1.5 1 0.2 0.01"), r":2: output modes must be integers, got \(1\.5,\)"),
+        (_full_singles() + ["[visibilities]", "1 2.5 4 5 0.5 0.01"],
+         r":28: input modes must be integers, got \(1\.0, 2\.5\)"),
         (_full_singles() + ["[visibilities]", "1 2 1 2 0.5"],
          r":28: expected 'in1 in2 out1 out2 V sigma'"),
         (_full_singles() + ["[visibilities]", "1 2 x 2 0.5 0.01"],
@@ -243,6 +262,15 @@ def test_dataset_line_errors_carry_line_numbers(tmp_path, lines, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         io.read_dataset(path)
+
+
+def test_dataset_modes_accept_integral_floats(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("\n".join(_full_singles("1.0 1 0.2 0.01") + [
+        "[visibilities]", "1 2.0 4.0 5 -0.5 0.01"]) + "\n")
+    data = io.read_dataset(path)
+    assert np.allclose(data.singles, 0.2, atol=1e-12)
+    assert data.visibility_pairs() == [((1, 2), (4, 5))]
 
 
 def test_dataset_missing_singles_section(tmp_path):
@@ -290,17 +318,22 @@ def _replace_line(lines, prefix, new):
         ("eta 3 ", ["eta 2 0.5"], 0, "duplicate eta 2"),
         ("eta 3 ", ["eta 9 0.5"], 0, r"eta index 9 outside 1\.\.8"),
         ("phi 11 ", ["phi 0 0.5"], 0, r"phi index 0 outside 1\.\.11"),
-        ("eta 3 ", ["eta three 0.5"], 0, "invalid literal"),
+        ("eta 3 ", ["eta three 0.5"], 0, "could not convert string to float: 'three'"),
         ("eta 3 ", ["eta 3 1.5"], None, r"reflectivity must lie in \[0, 1\]"),
-        ("residual ", ["residual nan"], 0, "non-finite residual"),
+        ("residual ", ["residual nan"], 0, "residual must be finite and nonnegative, got nan"),
         ("residual ", ["residual 0.1", "residual 0.2"], 1, r"duplicate \[fit\] entry 'residual'"),
         ("iterations ", ["iterations 7", "nfev 7"], 1, r"unknown \[fit\] entry 'nfev'"),
-        ("iterations ", ["iterations seven"], 0, "invalid literal"),
+        ("iterations ", ["iterations seven"], 0, "could not convert string to float: 'seven'"),
         ("iterations ", ["iterations -5"], 0, "iterations must be a positive integer, got -5"),
         ("restarts_used ", ["restarts_used 0"], 0,
          "restarts_used must be a positive integer, got 0"),
-        ("residual ", ["residual -0.5"], 0, "residual must be nonnegative, got -0.5"),
+        ("residual ", ["residual -0.5"], 0,
+         r"residual must be finite and nonnegative, got -0\.5"),
         ("eta 3 ", ["eta 1"], 0, "expected 'eta k v' or 'phi k v'"),
+        ("eta 3 ", ["eta 2.5 0.5"], 0, r"eta index must be a nonnegative integer, got 2\.5"),
+        ("iterations ", ["iterations 7.5"], 0, r"iterations must be a positive integer, got 7\.5"),
+        ("restarts_used ", ["restarts_used inf"], 0,
+         "restarts_used must be a positive integer, got inf"),
     ],
 )
 def test_read_result_rejects_bad_lines(tmp_path, prefix, new, bad, message):
@@ -310,6 +343,16 @@ def test_read_result_rejects_bad_lines(tmp_path, prefix, new, bad, message):
     where = r"bad\.txt: " if bad is None else rf"bad\.txt:{lineno + bad}: "
     with pytest.raises(ValueError, match=where + message):
         io.read_result(path)
+
+
+def test_read_result_integers_accept_integral_floats(tmp_path):
+    lines, _ = _replace_line(_result_lines(tmp_path), "eta 3 ", ["eta 3.0 0.5"])
+    lines, _ = _replace_line(lines, "iterations ", ["iterations 7.0"])
+    path = tmp_path / "float.txt"
+    path.write_text("\n".join(lines) + "\n")
+    result = io.read_result(path)
+    assert result.params.etas[2] == 0.5
+    assert result.iterations == 7 and type(result.iterations) is int
 
 
 def test_read_result_duplicate_and_extra_eta(tmp_path):

@@ -116,9 +116,8 @@ def test_dataset_rejects_non_finite_values(field, bad):
         sigma[2, 3] = bad
     else:
         v_sigma = bad
-    records = (VisibilityRecord((1, 2), (1, 2), value, v_sigma),)
     with pytest.raises(ValueError, match=field):
-        MeasurementDataset(singles, sigma, records)
+        MeasurementDataset(singles, sigma, (VisibilityRecord((1, 2), (1, 2), value, v_sigma),))
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +235,12 @@ def test_fit_config_rejects_meaningless_settings(field, value):
 
 def test_fit_config_accepts_smallest_settings():
     FitConfig(restarts=1, max_iterations=1, tolerance=2 * np.finfo(float).eps)
+
+
+def test_fit_config_stores_integer_settings_as_int():
+    config = FitConfig(restarts=np.int64(2), max_iterations=3.0, seed=np.int64(3))
+    assert (config.restarts, config.max_iterations, config.seed) == (2, 3, 3)
+    assert all(type(x) is int for x in (config.restarts, config.max_iterations, config.seed))
 
 
 def test_fit_records_every_restart(caplog):
@@ -580,9 +585,8 @@ def test_dataset_rejects_negative_values(field):
         sigma[2, 3] = -0.01
     else:
         v_sigma = -0.01
-    records = (VisibilityRecord((1, 2), (1, 2), 0.5, v_sigma),)
     with pytest.raises(ValueError, match=f"{field} values must be finite and nonnegative"):
-        MeasurementDataset(singles, sigma, records)
+        MeasurementDataset(singles, sigma, (VisibilityRecord((1, 2), (1, 2), 0.5, v_sigma),))
 
 
 @pytest.mark.parametrize("singles_shape, sigma_shape", [((4, 5), (4, 5)), ((5, 5), (5, 4))])
@@ -601,3 +605,24 @@ def test_dataset_accepts_negative_visibility():
         np.full((5, 5), 0.2), np.full((5, 5), 0.01), (VisibilityRecord((1, 2), (1, 2), -0.4, 0.01),)
     )
     assert data.visibilities[0].value == -0.4
+
+
+@pytest.mark.parametrize(
+    "in_pair, out_pair, value, sigma, message",
+    [
+        ((1, 1), (2, 3), 0.5, 0.01, "input modes must be distinct"),
+        ((1, 2), (3, 4), 5.0, 0.1, r"visibility 5\.0 outside \[-1, 1\]"),
+        ((1, 2), (3, 4), -1.5, 0.1, r"visibility -1\.5 outside \[-1, 1\]"),
+        ((1, 2), (3, 4), np.nan, 0.1, r"visibility nan outside \[-1, 1\]"),
+        ((1, 2), (3, 4), 0.5, np.nan, "visibilities sigma values must be finite and nonnegative"),
+    ],
+)
+def test_visibility_record_checks_itself(in_pair, out_pair, value, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        VisibilityRecord(in_pair, out_pair, value, sigma)
+
+
+def test_visibility_record_normalizes_its_pair():
+    record = VisibilityRecord([np.int64(1), 2.0], (3, 4), -1.0, 0.0)
+    assert (record.in_pair, record.out_pair) == ((1, 2), (3, 4))
+    assert all(type(x) is int for x in record.in_pair + record.out_pair)
