@@ -168,7 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("permanent", help="print the permanent of a matrix file")
     p.add_argument("matrix_file")
-    p.add_argument("--method", choices=("naive", "ryser"), default="ryser")
+    p.add_argument(
+        "--method", choices=("naive", "ryser"), default="ryser",
+        help="ryser (default): permanent_ryser, Glynn's formula, O(2^(n-1) n), n <= 30; "
+        "naive: the sum over all n! permutations, n <= 9",
+    )
     p.set_defaults(func=cmd_permanent)
 
     p = sub.add_parser(

@@ -21,7 +21,7 @@ from .unitary import UNITARY_TOL, _integer, _seeded_rng, as_square_matrix, is_un
 BASIS_GUARD = 10_000_000
 COLLISION_FREE_FLOOR = 1e-12
 
-# factorials up to the Ryser photon ceiling
+# factorials up to the permanent kernel's size cap
 _FACTORIAL = np.array([math.factorial(k) for k in range(RYSER_LIMIT + 1)], dtype=float)
 
 

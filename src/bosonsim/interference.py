@@ -159,7 +159,7 @@ def coincidence_rate(U, in_modes, out_modes, overlap) -> float:
         M_tau[k, l] = A[k, l] * conj(A[k, tau(l)])
 
     (Tichy, PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)),
-    which costs n! * 2^n * n operations; n is capped at 7.  The
+    which costs n! * 2^(n-1) * n operations; n is capped at 7.  The
     permanents do not depend on S, so ``hom_scan`` computes them once
     per scan.  All-ones S reproduces |Per(A)|^2; identity S gives the
     permanent of the elementwise |A|^2 matrix (the classical rate).

@@ -53,6 +53,14 @@ def parse_complex(token: str) -> complex:
     raise ValueError(f"invalid complex entry {token!r}")
 
 
+def _number(token: str, field: str) -> float:
+    """float(token), or a ValueError that names the field."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"{field} must be a number, got {token!r}") from None
+
+
 @contextlib.contextmanager
 def _as_output(dest):
     """Yield a text stream for a path, an open stream, or None (stdout)."""
@@ -126,14 +134,16 @@ def read_circuit(path) -> OpticalCircuit:
         fields = header.split()
         if len(fields) != 2 or fields[0] != "modes":
             raise ValueError(f"expected 'modes m', got {header!r}")
-        mode_count = _integer(float(fields[1]), "mode count", 1)
+        mode_count = _integer(_number(fields[1], "mode count"), "mode count", 1)
         elements = []
         for lineno, line in lines[1:]:
             fields = line.split()
             if len(fields) == 3 and fields[0] == "coupler":
-                elements.append(Coupler(float(fields[1]), float(fields[2])))
+                elements.append(Coupler(_number(fields[1], "coupler mode"),
+                                        _number(fields[2], "reflectivity")))
             elif len(fields) == 3 and fields[0] == "phase":
-                elements.append(PhaseShifter(float(fields[1]), float(fields[2])))
+                elements.append(PhaseShifter(_number(fields[1], "phase mode"),
+                                             _number(fields[2], "phase")))
             else:
                 raise ValueError(f"expected 'coupler i eta' or 'phase i phi', got {line!r}")
         lineno = None
@@ -299,19 +309,20 @@ def read_result(path) -> ReconstructionResult:
             fields = line.split()
             if len(fields) != 3 or fields[0] not in params:
                 raise ValueError("expected 'eta k v' or 'phi k v'")
-            kind, k = fields[0], _integer(float(fields[1]), f"{fields[0]} index")
+            kind = fields[0]
+            k = _integer(_number(fields[1], f"{kind} index"), f"{kind} index")
             if not 1 <= k <= counts[kind]:
                 raise ValueError(f"{kind} index {k} outside 1..{counts[kind]}")
             if k in params[kind]:
                 raise ValueError(f"duplicate {kind} {k}")
-            params[kind][k] = float(fields[2])
+            params[kind][k] = _number(fields[2], f"{kind} {k}")
         for lineno, line in sections["fit"]:
             key, _, value = line.partition(" ")
             if key not in _FIT_FIELDS:
                 raise ValueError(f"unknown [fit] entry {key!r}")
             if key in fit_fields:
                 raise ValueError(f"duplicate [fit] entry {key!r}")
-            number = float(value)
+            number = _number(value, key)
             if key != "residual":
                 fit_fields[key] = _integer(number, key, 1)
             elif math.isfinite(number) and number >= 0:

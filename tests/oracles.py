@@ -7,10 +7,10 @@ symmetrized outcome weights.  It never touches permanents or submatrix
 construction, so it checks the production pipeline from a different
 direction.
 
-The permanent oracle evaluates Glynn's formula, not the Ryser formula
-of the production kernel, in 40-digit mpmath arithmetic, so its own
-rounding error is far below the kernel's.  The pair-ranking oracle
-ranks visibility pairs with a scalar loop, one pair at a time, as the
+The permanent oracle evaluates Ryser's formula, not Glynn's formula of
+the production kernel, in exact integer arithmetic on entries rounded to
+40 digits, so its own error is far below the kernel's.  The pair-ranking
+oracle ranks visibility pairs with a scalar loop, one pair at a time, as the
 reference for the vectorized ranking; the simulator oracle likewise
 draws each pair's Poisson counts and visibility estimate in a scalar
 loop, as the reference for the simulator's one stacked draw.
@@ -27,10 +27,10 @@ by central differences, one coordinate at a time; it checks the
 analytic fit Jacobian without sharing any of its algebra.
 """
 
+import fractions
 import itertools
 import math
 
-import mpmath
 import numpy as np
 
 
@@ -56,28 +56,43 @@ def brute_force_distribution(u, input_state):
     return probs
 
 
-def mpmath_permanent(matrix, digits=40):
-    """Permanent by Glynn's formula in ``digits``-digit mpmath arithmetic.
+def integer_ryser_permanent(matrix, digits=40):
+    """Permanent by Ryser's formula, exact on entries rounded to ``digits`` digits.
 
-    Per(A) = 2^(1-n) sum over delta in {+-1}^n with delta_1 = +1 of
-    (prod_k delta_k) prod_i sum_j delta_j A[i, j], with the deltas
-    walked in Gray-code order so each step flips one sign, and with it
-    the sign of prod_k delta_k.
+    Per(A) = (-1)^n sum over nonempty column sets S of (-1)^|S|
+    prod_i sum_{j in S} A[i, j], with the sets walked in Gray-code order:
+    step k adds or removes column ctz(k), and |S| has the parity of k.
+    Each entry becomes an integer multiple of 2^-p with 2^-p < 10^-digits
+    (exactly, for a float64 entry of magnitude at least 2^(53-p)); the
+    walk then runs in Python integers, so the one rounding after the
+    inputs is the final conversion to complex.
     """
     a = np.asarray(matrix, dtype=complex)
     n = a.shape[0]
-    with mpmath.workdps(digits):
-        cols = [[mpmath.mpc(complex(z)) for z in a[:, j]] for j in range(n)]
-        sums = [mpmath.fsum(row) for row in zip(*cols)]
-        delta = [1] * n
-        total = mpmath.fprod(sums)
-        for k in range(1, 1 << (n - 1)):
-            j = (k & -k).bit_length()
-            delta[j] = -delta[j]
-            sums = [s + 2 * delta[j] * c for s, c in zip(sums, cols[j])]
-            term = mpmath.fprod(sums)
-            total = total - term if k & 1 else total + term
-        return complex(total / 2 ** (n - 1))
+    p = math.ceil(digits * math.log2(10))
+
+    def fixed(x):
+        return round(fractions.Fraction(float(x)) * (1 << p))
+
+    re = [[fixed(z.real) for z in a[:, j]] for j in range(n)]
+    im = [[fixed(z.imag) for z in a[:, j]] for j in range(n)]
+    sum_re, sum_im = [0] * n, [0] * n
+    total_re = total_im = 0
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        sign = -1 if (k >> (j + 1)) & 1 else 1  # column j leaves S or joins it
+        sum_re = [s + sign * c for s, c in zip(sum_re, re[j])]
+        sum_im = [s + sign * c for s, c in zip(sum_im, im[j])]
+        prod_re, prod_im = sum_re[0], sum_im[0]
+        for x, y in zip(sum_re[1:], sum_im[1:]):
+            prod_re, prod_im = prod_re * x - prod_im * y, prod_re * y + prod_im * x
+        if k & 1:
+            total_re, total_im = total_re - prod_re, total_im - prod_im
+        else:
+            total_re, total_im = total_re + prod_re, total_im + prod_im
+    scale = (1 << (p * n)) * (-1) ** n
+    return complex(float(fractions.Fraction(total_re, scale)),
+                   float(fractions.Fraction(total_im, scale)))
 
 
 def ranked_pairs_loop(u, count):

@@ -202,7 +202,7 @@ def test_criterion_9_performance_kernel():
         assert t24 < 300.0, f"24x24 took {t24:.2f}s"
         ok = True
     finally:
-        _report(9, "Ryser kernel: 20x20 under 10 s, 24x24 under 5 min", ok)
+        _report(9, "Glynn kernel (permanent_ryser): 20x20 under 10 s, 24x24 under 5 min", ok)
 
 
 def test_criterion_10_determinism(tmp_path):

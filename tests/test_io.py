@@ -79,6 +79,12 @@ def test_matrix_written_to_a_stream_matches_the_file(tmp_path):
          r"f\.txt:2: phase mode must be a positive integer, got 2\.5"),
         (io.read_result, "[parameters]\neta 1 0.5\n",
          r"f\.txt: missing \[parameters\] or \[fit\]"),
+        (io.read_circuit, "modes abc\n", r"f\.txt:1: mode count must be a number, got 'abc'"),
+        (io.read_circuit, "modes 5\ncoupler one 0.5\n",
+         r"f\.txt:2: coupler mode must be a number, got 'one'"),
+        (io.read_circuit, "modes 5\ncoupler 1 half\n",
+         r"f\.txt:2: reflectivity must be a number, got 'half'"),
+        (io.read_circuit, "modes 5\nphase 1 pi\n", r"f\.txt:2: phase must be a number, got 'pi'"),
     ],
 )
 def test_readers_reject_files_without_their_content(tmp_path, reader, text, message):
@@ -318,12 +324,12 @@ def _replace_line(lines, prefix, new):
         ("eta 3 ", ["eta 2 0.5"], 0, "duplicate eta 2"),
         ("eta 3 ", ["eta 9 0.5"], 0, r"eta index 9 outside 1\.\.8"),
         ("phi 11 ", ["phi 0 0.5"], 0, r"phi index 0 outside 1\.\.11"),
-        ("eta 3 ", ["eta three 0.5"], 0, "could not convert string to float: 'three'"),
+        ("eta 3 ", ["eta three 0.5"], 0, "eta index must be a number, got 'three'"),
         ("eta 3 ", ["eta 3 1.5"], None, r"reflectivity must lie in \[0, 1\]"),
         ("residual ", ["residual nan"], 0, "residual must be finite and nonnegative, got nan"),
         ("residual ", ["residual 0.1", "residual 0.2"], 1, r"duplicate \[fit\] entry 'residual'"),
         ("iterations ", ["iterations 7", "nfev 7"], 1, r"unknown \[fit\] entry 'nfev'"),
-        ("iterations ", ["iterations seven"], 0, "could not convert string to float: 'seven'"),
+        ("iterations ", ["iterations seven"], 0, "iterations must be a number, got 'seven'"),
         ("iterations ", ["iterations -5"], 0, "iterations must be a positive integer, got -5"),
         ("restarts_used ", ["restarts_used 0"], 0,
          "restarts_used must be a positive integer, got 0"),
@@ -334,6 +340,8 @@ def _replace_line(lines, prefix, new):
         ("iterations ", ["iterations 7.5"], 0, r"iterations must be a positive integer, got 7\.5"),
         ("restarts_used ", ["restarts_used inf"], 0,
          "restarts_used must be a positive integer, got inf"),
+        ("eta 3 ", ["eta 3 half"], 0, "eta 3 must be a number, got 'half'"),
+        ("residual ", ["residual small"], 0, "residual must be a number, got 'small'"),
     ],
 )
 def test_read_result_rejects_bad_lines(tmp_path, prefix, new, bad, message):

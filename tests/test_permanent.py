@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from oracles import mpmath_permanent
+from oracles import integer_ryser_permanent
 
 from bosonsim import SizeLimitError, permanent_naive, permanent_ryser, random_unitary
+from bosonsim import permanent as permanent_module
 
 BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
 
@@ -41,20 +44,44 @@ def test_ryser_equals_naive_random(n):
         assert abs(got - expected) <= 1e-9 * (1 + abs(expected))
 
 
+@pytest.mark.parametrize("lo_bits, block_bits", [(0, 0), (1, 1), (2, 3), (3, 5)])
+def test_glynn_blocks_match_naive(monkeypatch, lo_bits, block_bits):
+    # small tables and blocks send n <= 9 through many low/high splits
+    monkeypatch.setattr(permanent_module, "LO_BITS", lo_bits)
+    monkeypatch.setattr(permanent_module, "BLOCK_BITS", block_bits)
+    rng = np.random.default_rng(lo_bits + 10 * block_bits)
+    for n in range(1, 10):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expected = permanent_naive(m)
+        assert abs(permanent_ryser(m) - expected) <= 1e-12 * abs(expected)
+        assert permanent_ryser(np.ones((n, n))) == complex(math.factorial(n))
+
+
+def test_phased_permuted_permanent_n20():
+    # the identity the benchmark checks: Per(D1 P A Q D2) = Per(A) prod(D1) prod(D2)
+    rng = np.random.default_rng(20)
+    a = random_unitary(20, 2020)
+    rows, cols = rng.permutation(20), rng.permutation(20)
+    d1, d2 = (np.exp(2j * np.pi * rng.random(20)) for _ in range(2))
+    b = d1[:, None] * a[np.ix_(rows, cols)] * d2[None, :]
+    expected = permanent_ryser(a) * np.prod(d1) * np.prod(d2)
+    assert abs(permanent_ryser(b) - expected) <= 1e-12 * abs(expected)
+
+
 @pytest.mark.parametrize("n", [4, 8, 12, 14])
-def test_ryser_relative_error_against_mpmath(n):
+def test_ryser_relative_error_against_oracle(n):
     # the bound stated in the permanent_ryser docstring, with headroom
     u = random_unitary(n, 900 + n)
-    expected = mpmath_permanent(u)
+    expected = integer_ryser_permanent(u)
     assert abs(permanent_ryser(u) - expected) <= 1e-11 * abs(expected)
 
 
-def test_mpmath_oracle_matches_naive():
+def test_integer_ryser_oracle_matches_naive():
     rng = np.random.default_rng(41)
     for n in range(1, 7):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         expected = permanent_naive(m)
-        assert abs(mpmath_permanent(m) - expected) <= 1e-12 * abs(expected)
+        assert abs(integer_ryser_permanent(m) - expected) <= 1e-12 * abs(expected)
 
 
 def test_row_multilinearity():
@@ -86,15 +113,15 @@ def test_unitary_permanent_bounded(n):
 
 
 def test_ryser_bit_identical_repeat():
-    u = random_unitary(9, 77)
-    first = permanent_ryser(u)
-    for _ in range(3):
-        assert permanent_ryser(u) == first
+    # n = 20 runs 64 high-sign blocks
+    for n in (9, 20):
+        u = random_unitary(n, 77)
+        first = permanent_ryser(u)
+        for _ in range(3):
+            assert permanent_ryser(u) == first
 
 
 def test_all_ones_factorials_exact():
-    import math
-
     for n in range(1, 10):
         assert permanent_ryser(np.ones((n, n))) == complex(math.factorial(n))
         assert permanent_naive(np.ones((n, n))) == complex(math.factorial(n))

@@ -3,8 +3,8 @@ a span in every layer the workload declares.
 
 The tracer wraps functions under the names their callers look them up by,
 so a rename or a re-routed call that the benchmark would only notice at
-``bench/run.py --trace 1`` fails here first. The ``reconstruct`` layer sweep,
-which calls the fit's private helpers by name, runs here too.
+``bench/run.py --trace 1`` fails here first. Each workload's layer sweep, which
+calls library functions and the fit's private helpers by name, runs here too.
 """
 
 import json
@@ -80,10 +80,20 @@ def test_tiny_job_covers_declared_layers(tmp_path, name):
     assert not missing, f"{name}: no spans in layers {sorted(missing)}"
 
 
-def test_reconstruct_sweep_runs(tmp_path):
-    # the sweep calls the fit's private helpers by name; no CLI job reaches them that way
-    proc = _run_tracer(tmp_path, "--sweep", "reconstruct", "--seed", "0")
+# The layers each workload's sweep times, one row per case of the ROADMAP table.
+SWEEP_LAYERS = {
+    "sampling": ["transition_probability"] + ["full_distribution"] * 3,
+    "permanent": ["permanent_ryser"] * 4,
+    "hom_scan": ["coincidence_rate"] * 3,
+    "reconstruct": ["compile_circuit", "fit residual eval", "fit"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SWEEP_LAYERS))
+def test_sweep_runs(tmp_path, workload):
+    # the sweeps call library functions, and the fit's private helpers, by name
+    proc = _run_tracer(tmp_path, "--sweep", workload, "--seed", "0")
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
-    assert [row["layer"] for row in rows] == ["compile_circuit", "fit residual eval", "fit"]
+    assert [row["layer"] for row in rows] == SWEEP_LAYERS[workload]
     assert all(row["seconds"] > 0 and row["calls"] >= 1 for row in rows)
