@@ -43,6 +43,24 @@ DEFAULT_STEPS = tuple(
     for j, mode in enumerate(OUTPUT_PHASE_MODES)
 )
 
+# The phases the fit keeps: phi5-phi8, 0-based indices into phis.  Singles
+# |U|^2 and visibilities do not change under U -> D1 U D2 with D1, D2 diagonal
+# phase matrices (Laing & O'Brien, arXiv:1208.2868), so 7 of the 19 parameters
+# are invisible.  phi1 and phi2 are input phases and phi9-phi11 output phases.
+# A common phase on both arms of a coupler passes through it unchanged: on
+# the outputs of the first (1,2) coupler it shifts phi3 and phi5 together,
+# and moved through the first (3,4) and (2,3) couplers and the second (1,2)
+# one it shifts phi4, phi6 and phi7 together.  Fixing phi3 = phi4 = 0 breaks
+# both, and the Jacobian of the 8 thetas plus phi5-phi8 has full rank 12.
+FIT_PHASES = range(4, 8)
+# DEFAULT_STEPS with only those phases, each step indexing the fit vector
+# thetas + phis[FIT_PHASES]; the dropped phase steps are identities at 0.
+FIT_STEPS = tuple(
+    (row, k if coupler else ETA_COUNT + FIT_PHASES.index(k - ETA_COUNT), coupler)
+    for row, k, coupler in DEFAULT_STEPS
+    if coupler or k - ETA_COUNT in FIT_PHASES
+)
+
 
 def wrap_phases(phis) -> np.ndarray:
     """Angles reduced into [0, 2*pi)."""
@@ -181,9 +199,9 @@ def random_circuit(seed: int) -> OpticalCircuit:
 
 
 def _parameter_vector(etas, phis) -> np.ndarray:
-    """The vector compiler's parameters thetas + phis, with theta = arcsin(sqrt(eta))."""
+    """The fit vector thetas + phis[FIT_PHASES], theta = arcsin(sqrt(eta)), of 8 etas, 11 phis."""
     return np.concatenate([np.arcsin(np.sqrt(np.asarray(etas, dtype=float))),
-                           np.asarray(phis, dtype=float)])
+                           np.asarray(phis, dtype=float)[FIT_PHASES]])
 
 
 def _vector_step(u: np.ndarray, row: int, value: float, coupler: bool,
@@ -196,15 +214,15 @@ def _vector_step(u: np.ndarray, row: int, value: float, coupler: bool,
 
 
 def _vector_unitary(x, prefixes=None) -> np.ndarray:
-    """The canonical network's unitary at parameter vector x = thetas + phis.
+    """The canonical network's unitary at fit vector x = thetas + phis[FIT_PHASES].
 
-    Walks DEFAULT_STEPS with the elements' row updates and builds no circuit
-    objects; no angle needs wrapping.  If ``prefixes`` is a list, the
-    product of the steps before each step is appended to it.
+    Walks FIT_STEPS, so the other phases are 0, with the elements' row
+    updates and builds no circuit objects; no angle needs wrapping.  If
+    ``prefixes`` is a list, the product of the steps before each step is appended to it.
     """
     values = np.asarray(x, dtype=float).tolist()
     u = np.eye(DEFAULT_MODES, dtype=np.complex128)
-    for row, k, coupler in DEFAULT_STEPS:
+    for row, k, coupler in FIT_STEPS:
         if prefixes is not None:
             prefixes.append(u.copy())
         _vector_step(u, row, values[k], coupler)
@@ -212,7 +230,7 @@ def _vector_unitary(x, prefixes=None) -> np.ndarray:
 
 
 def _unitary_jacobian(x):
-    """U at x and the stack dU/dx_k over the parameters, shape (19, 5, 5).
+    """U at fit vector x and the stack dU/dx_k over its 12 entries, shape (12, 5, 5).
 
     For step s with element G_s, dU = S_s (dG_s) P_s, where P_s is the
     product of the steps before it and S_s of those after it.  A phase
@@ -225,9 +243,9 @@ def _unitary_jacobian(x):
     prefixes: list[np.ndarray] = []
     u = _vector_unitary(values, prefixes)
     prefixes.append(u)
-    du = np.empty((len(values), DEFAULT_MODES, DEFAULT_MODES), dtype=np.complex128)
+    du = np.empty((len(FIT_STEPS), DEFAULT_MODES, DEFAULT_MODES), dtype=np.complex128)
     suffix_t = np.eye(DEFAULT_MODES, dtype=np.complex128)
-    for s, (row, k, coupler) in reversed(list(enumerate(DEFAULT_STEPS))):
+    for s, (row, k, coupler) in reversed(list(enumerate(FIT_STEPS))):
         if coupler:
             rows = prefixes[s][row : row + 2].copy()
             _vector_step(rows, 0, values[k], True, derivative=True)

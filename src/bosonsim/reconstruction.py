@@ -1,11 +1,11 @@
-"""Recovering the 19 network parameters from measured observables.
+"""Recovering the canonical network from measured observables.
 
 The measurement model is the one used to characterize integrated
 interferometers in situ: 25 single-photon transmission probabilities
 P[j, k] = |U[j, k]|^2 plus a set of two-photon dip visibilities.  A
-multi-start least-squares fit recovers coupler reflectivities and phase
-shifts of the canonical topology; a Poissonian simulator produces noisy
-datasets for round-trip testing.
+multi-start least-squares fit recovers the 12 parameters of the canonical
+topology that these determine (see ``fit``); a Poissonian simulator
+produces noisy datasets for round-trip testing.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from .circuit import (
     DEFAULT_MODES,
     ETA_COUNT,
+    FIT_PHASES,
     PHI_COUNT,
     TWO_PI,
     OpticalCircuit,
@@ -46,16 +47,10 @@ PAIR_RANK_DECIMALS = 12
 # Smallest accepted fit tolerance: a relative change of the cost or of the
 # parameters below machine epsilon cannot be resolved.
 MIN_TOLERANCE = float(np.finfo(float).eps)
-# Levenberg-Marquardt damping: its start, its floor, and the value past
-# which no step can lower the cost any more.  Each parameter is damped by
-# the running maximum of its squared Jacobian column, floored at SCALE_FLOOR
-# times the largest.  Both floors keep the damped system solvable: the
-# Jacobian has rank 12 of 19, as five phases change no observable and two
-# more phase combinations are degenerate.
+# Levenberg-Marquardt damping: its start, and the value past which no step
+# can lower the cost any more.
 INITIAL_DAMPING = 1e-3
-MIN_DAMPING = 1e-12
 MAX_DAMPING = 1e16
-SCALE_FLOOR = 1e-8
 
 logger = logging.getLogger("bosonsim")
 
@@ -205,6 +200,12 @@ def _pair_index_arrays(pairs: list[PairSpec]):
     return tuple(np.ascontiguousarray(idx.T))
 
 
+# The 100 (input pair, output pair) candidates that ranking scores, checked once.
+_MODE_PAIRS = tuple(itertools.combinations(range(1, DEFAULT_MODES + 1), 2))
+_CANDIDATE_PAIRS = tuple(itertools.product(_MODE_PAIRS, repeat=2))
+_CANDIDATE_INDEX = _pair_index_arrays(_CANDIDATE_PAIRS)
+
+
 def _checked_network(U) -> np.ndarray:
     u = _unitary_matrix(U)
     if u.shape == (DEFAULT_MODES, DEFAULT_MODES):
@@ -231,14 +232,18 @@ def predict_observables(params: CircuitParameters, visibility_pairs) -> Measurem
     return MeasurementDataset(np.abs(u) ** 2, np.zeros(u.shape), tuple(records))
 
 
-def _residuals(x, data: MeasurementDataset, idx):
-    """Weighted residuals of the singles, then of the visibilities of the pairs idx."""
-    u = _vector_unitary(x)
+def _observable_residuals(u, data: MeasurementDataset, idx):
+    """Weighted residuals of the singles of u, then of the visibilities of the pairs idx."""
     measured, weight = data._fit_targets
     vis = _vis_from_rates(*_two_photon_rates(u, idx))
     resid = (np.concatenate([(np.abs(u) ** 2).ravel(), vis]) - measured) / weight
     resid[u.size :][~np.isfinite(vis)] = np.sqrt(UNDEFINED_PENALTY)
     return resid
+
+
+def _residuals(x, data: MeasurementDataset, idx):
+    """``_observable_residuals`` of the network at fit vector x."""
+    return _observable_residuals(_vector_unitary(x), data, idx)
 
 
 def _jacobian(x, data: MeasurementDataset, idx):
@@ -272,12 +277,14 @@ def _fold(thetas) -> np.ndarray:
 
 
 def least_squares(x, data: MeasurementDataset, idx, config: FitConfig) -> LeastSquaresResult:
-    """Levenberg-Marquardt minimization of |_residuals(x)|^2 from x = thetas + phis.
+    """Levenberg-Marquardt minimization of |_residuals(x)|^2 from fit vector x.
 
     Each iteration solves (J^T J + lam D) p = -J^T f for the step p, where
-    D is Marquardt's diagonal scaling kept as a running maximum (Moré), and
+    D is the running maximum (Moré) of each squared Jacobian column, and
     takes it if it lowers the cost: lam then shrinks by Nielsen's rule, and
-    otherwise grows by a factor that doubles on each rejection.  Trial
+    otherwise grows by a factor that doubles on each rejection.  The damped
+    system is positive definite as long as the first Jacobian has no zero
+    column: ``fit``'s starts, with eta in [0.05, 0.95], have none.  Trial
     points fold every theta into [0, pi/2], which covers each eta = sin^2
     exactly once, so no bound is needed.  At most ``config.max_iterations``
     residual evaluations are spent; ``Stop`` lists the ways it ends.
@@ -286,14 +293,13 @@ def least_squares(x, data: MeasurementDataset, idx, config: FitConfig) -> LeastS
     x = np.array(x, dtype=float)
     f = _residuals(x, data, idx)
     cost, nfev, njev = float(f @ f), 1, 0
-    scale = np.zeros(len(x))
+    damping = np.zeros(len(x))
     lam, grow = INITIAL_DAMPING, 2.0
     while True:
         jac = _jacobian(x, data, idx)
         njev += 1
         hess, grad = jac.T @ jac, jac.T @ f
-        scale = np.maximum(scale, hess.diagonal())
-        damping = np.maximum(scale, SCALE_FLOOR * scale.max())
+        damping = np.maximum(damping, hess.diagonal())
         if np.all(np.abs(grad) <= tol * np.sqrt(cost * damping)):
             return LeastSquaresResult(x, f, nfev, njev, Stop.GRADIENT)
         while True:
@@ -317,31 +323,35 @@ def least_squares(x, data: MeasurementDataset, idx, config: FitConfig) -> LeastS
         if np.linalg.norm(step) <= tol * (tol + np.linalg.norm(trial)):
             return LeastSquaresResult(trial, f_trial, nfev, njev, Stop.STEP)
         x, f, cost = trial, f_trial, cost_trial
-        lam, grow = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), MIN_DAMPING), 2.0
+        lam, grow = lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
 
 
 def objective(params: CircuitParameters, data: MeasurementDataset) -> float:
     """Sum of squared uncertainty-weighted residuals over all observables.
 
     Observables with zero stated uncertainty get unit weight; a pair whose
-    predicted visibility is undefined contributes a fixed 1e6 penalty.
+    predicted visibility is undefined contributes a fixed 1e6 penalty;
+    ``params.circuit`` is compiled with all 19 parameters.
     """
     idx = _pair_index_arrays(data.visibility_pairs())
-    r = _residuals(_parameter_vector(params.etas, params.phis), data, idx)
+    r = _observable_residuals(compile_circuit(params.circuit), data, idx)
     return float(r @ r)
 
 
 def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> ReconstructionResult:
-    """Multi-start Levenberg-Marquardt least squares over the 19 network parameters.
+    """Multi-start Levenberg-Marquardt least squares over the 12 identifiable parameters.
 
-    Starting points come from the seeded generator; restarts run
-    sequentially and the lowest final objective wins, ties broken by the
-    earliest restart.  Restarting stops early once the objective falls to
-    ``config.tolerance``.  Each coupler is fitted by its angle theta, with
-    eta = sin(theta)^2, so every reflectivity stays in [0, 1] without a
-    bound; a start eta maps to theta = arcsin(sqrt(eta)).  Phases are
-    fitted unbounded and wrapped into [0, 2*pi) at the end so the branch
-    cut cannot inflate residuals.
+    The observables are unchanged by U -> D1 U D2, D1 and D2 diagonal phase
+    matrices, so the fit vector is the 8 coupler angles and phi5-phi8
+    (``circuit.FIT_PHASES`` says why), the result's other phases are 0, and
+    its U is one representative of D1 U D2.  Each start draws 8 etas and 11
+    phases from the seeded generator and keeps phi5-phi8.  Restarts run in
+    order, the lowest final objective wins, ties broken by the earliest
+    restart, and restarting stops once the objective falls to ``config.tolerance``.
+    Each coupler is fitted by its angle theta, with eta = sin(theta)^2, so
+    every reflectivity stays in [0, 1] without a bound; a start eta maps to
+    theta = arcsin(sqrt(eta)).  Phases are fitted unbounded and wrapped
+    into [0, 2*pi) at the end so the branch cut cannot inflate residuals.
 
     Each residual evaluation compiles the network straight from the
     parameter vector by in-place row updates.  The Jacobian is exact, not
@@ -375,10 +385,9 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
         raise NonConvergenceError(
             f"best objective {best.cost:.6g} never fell below the penalty floor"
         )
-    params = CircuitParameters(
-        tuple(np.sin(best_x[:ETA_COUNT]) ** 2),
-        tuple(wrap_phases(best_x[ETA_COUNT:])),
-    )
+    phis = np.zeros(PHI_COUNT)
+    phis[FIT_PHASES] = wrap_phases(best_x[ETA_COUNT:])
+    params = CircuitParameters(tuple(np.sin(best_x[:ETA_COUNT]) ** 2), tuple(phis))
     return ReconstructionResult(
         params=params,
         residual=objective(params, data),
@@ -396,12 +405,10 @@ def default_visibility_pairs(U, count: int = DEFAULT_PAIR_COUNT) -> list[PairSpe
     measurements.  Rates are ranked at PAIR_RANK_DECIMALS decimals, and ties
     break on the lexicographically smallest pair.
     """
-    u = _checked_network(U)
-    modes = range(1, DEFAULT_MODES + 1)
-    pairs = list(itertools.product(itertools.combinations(modes, 2), repeat=2))
+    u, pairs = _checked_network(U), _CANDIDATE_PAIRS
     if not (_is_integer(count) and 0 <= count <= len(pairs)):
         raise ValueError(f"visibility pair count must lie in 0..{len(pairs)}, got {count!r}")
-    _, classical = _two_photon_rates(u, _pair_index_arrays(pairs))
+    _, classical = _two_photon_rates(u, _CANDIDATE_INDEX)
     order = np.argsort(-np.round(classical, PAIR_RANK_DECIMALS), kind="stable")
     return [pairs[j] for j in order[:int(count)]]
 

@@ -22,6 +22,10 @@ scalar term at a time.  It costs (n!)^2 * n, so it is meant for n <= 5,
 and it shares no permanent with the production rate, which sums n!
 permanents weighted by overlap products.
 
+The basis oracle lists the occupation tuples of n photons in m modes
+by choosing the first mode's count and recursing on the rest, not by the
+multiset enumeration of the production basis.
+
 The derivative oracle differentiates any vector function numerically,
 by central differences, one coordinate at a time; it checks the
 analytic fit Jacobian without sharing any of its algebra.
@@ -54,6 +58,14 @@ def brute_force_distribution(u, input_state):
         out_norm = math.prod(math.factorial(k) for k in occ)
         probs[occ] = abs(amp) ** 2 * out_norm / in_norm
     return probs
+
+
+def compositions(n, m):
+    """Every m-tuple of nonnegative integers summing to n, first entry descending."""
+    if m == 1:
+        return [(n,)]
+    return [(first,) + rest
+            for first in range(n, -1, -1) for rest in compositions(n - first, m - 1)]
 
 
 def integer_ryser_permanent(matrix, digits=40):

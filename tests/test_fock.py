@@ -1,9 +1,8 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_distribution
+from oracles import brute_force_distribution, compositions
 
 import bosonsim.fock as fock
 from bosonsim import (
@@ -42,8 +41,7 @@ def test_basis_order_and_contents(m, n):
     assert states[0] == (n,) + (0,) * (m - 1)
     assert states[-1] == (0,) * (m - 1) + (n,)
     # oracle: every occupation tuple summing to n, lexicographically decreasing
-    oracle = sorted((s for s in itertools.product(range(n + 1), repeat=m) if sum(s) == n),
-                    reverse=True)
+    oracle = sorted(compositions(n, m), reverse=True)
     assert states == oracle
 
 
