@@ -103,6 +103,9 @@ def _probabilities(u, inp, outs) -> np.ndarray:
     """P(inp -> out) per out in outs, from U's columns gathered once by the input photon modes."""
     occ = np.array(outs, dtype=np.intp)
     cols = u[:, _photon_modes(inp)]
+    # One call of the public permanent_ryser per state, not a private stacked
+    # kernel: the benchmark tracer wraps it to count and time the permanent
+    # layer, and reads n from each call's matrix.
     per2 = [abs(permanent_ryser(cols[rows])) ** 2 for rows in _photon_modes(occ)]
     return np.array(per2) / (_FACTORIAL[list(inp)].prod() * _FACTORIAL[occ].prod(axis=1))
 

@@ -15,7 +15,9 @@ result    "[parameters]" and "[fit]" blocks followed by the predicted
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -32,6 +34,9 @@ from .reconstruction import (
     VisibilityRecord,
 )
 from .unitary import _integer
+
+# sample lines joined into one write
+SAMPLE_WRITE_CHUNK = 1 << 16
 
 
 def format_float(x: float) -> str:
@@ -369,10 +374,17 @@ def write_distribution(dest, dist: OutputDistribution, source_hash: str) -> None
 
 
 def write_samples(dest, states) -> None:
-    """One comma-separated line per state; states are occupation tuples, as ``sample`` returns."""
+    """One comma-separated line per state; states are occupation tuples of ints, as ``sample`` returns.
+
+    Draws repeat states (20,000 draws over 12,376 states hold about 7,000
+    distinct ones), so each distinct state is formatted once.  Lines are
+    written SAMPLE_WRITE_CHUNK at a time, so no string holds them all.
+    """
+    line = functools.cache(lambda state: ",".join(str(x) for x in state) + "\n")
+    states = iter(states)
     with _as_output(dest) as fh:
-        for state in states:
-            fh.write(",".join(str(x) for x in state) + "\n")
+        while chunk := list(itertools.islice(states, SAMPLE_WRITE_CHUNK)):
+            fh.write("".join(map(line, chunk)))
 
 
 def write_hom_scan(dest, delays, rates, meta: dict) -> None:

@@ -64,6 +64,58 @@ def test_matrix_written_to_a_stream_matches_the_file(tmp_path):
     assert stream.getvalue() == path.read_text()
 
 
+def _sample_lines(states):
+    return "".join(",".join(str(x) for x in s) + "\n" for s in states)
+
+
+class _WriteLog(textio.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "states",
+    [
+        [(1, 0, 1)],
+        [(10, 0), (0, 10), (10, 0), (3, 7), (10, 0), (0, 10)],
+        [(0, 1, 1, 0), (1, 1, 0, 0)] * 5 + [(12, 0, 0, 0)],
+        [],
+    ],
+)
+def test_write_samples_matches_one_line_per_state(states):
+    stream = textio.StringIO()
+    io.write_samples(stream, states)
+    assert stream.getvalue() == _sample_lines(states)
+
+
+@pytest.mark.parametrize("count", [5, 6, 7, 13])
+def test_write_samples_across_chunk_boundaries(monkeypatch, count):
+    monkeypatch.setattr(io, "SAMPLE_WRITE_CHUNK", 3)
+    states = [(k % 4, 11 - k % 4) for k in range(count)]
+    stream = _WriteLog()
+    io.write_samples(stream, iter(states))
+    assert stream.getvalue() == _sample_lines(states)
+    # one write per chunk of at most three lines
+    assert [w.count("\n") for w in stream.writes] == [min(3, count - k) for k in range(0, count, 3)]
+
+
+def test_write_samples_to_path_stream_and_stdout(tmp_path, capsys):
+    states = [(2, 0, 1), (0, 3, 0), (2, 0, 1), (10, 0, 0)]
+    expected = _sample_lines(states)
+    io.write_samples(tmp_path / "s.txt", states)
+    assert (tmp_path / "s.txt").read_bytes() == expected.encode()
+    with open(tmp_path / "open.txt", "w", encoding="utf-8", newline="\n") as fh:
+        io.write_samples(fh, states)
+    assert (tmp_path / "open.txt").read_bytes() == expected.encode()
+    io.write_samples(None, states)
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize(
     "reader, text, message",
     [

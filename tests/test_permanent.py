@@ -57,6 +57,16 @@ def test_glynn_blocks_match_naive(monkeypatch, lo_bits, block_bits):
         assert permanent_ryser(np.ones((n, n))) == complex(math.factorial(n))
 
 
+@pytest.mark.parametrize("n", range(1, permanent_module.LO_BITS + 2))
+def test_small_n_requests_only_the_low_sign_table(monkeypatch, n):
+    # every free sign fits the low table, so no block is walked
+    requested = []
+    signs = permanent_module._signs
+    monkeypatch.setattr(permanent_module, "_signs", lambda k: requested.append(k) or signs(k))
+    permanent_ryser(random_unitary(n, 60 + n))
+    assert requested == [n - 1]
+
+
 def test_phased_permuted_permanent_n20():
     # the identity the benchmark checks: Per(D1 P A Q D2) = Per(A) prod(D1) prod(D2)
     rng = np.random.default_rng(20)
@@ -68,7 +78,7 @@ def test_phased_permuted_permanent_n20():
     assert abs(permanent_ryser(b) - expected) <= 1e-12 * abs(expected)
 
 
-@pytest.mark.parametrize("n", [4, 8, 12, 14])
+@pytest.mark.parametrize("n", [4, 8, 12, 13, 14])
 def test_ryser_relative_error_against_oracle(n):
     # the bound stated in the permanent_ryser docstring, with headroom
     u = random_unitary(n, 900 + n)
