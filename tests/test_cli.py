@@ -499,16 +499,31 @@ def test_distribution_rejects_bad_input_token(balanced_file, capsys):
     assert err == "bosonsim: invalid occupation list '1,x'\n"
 
 
-def test_cli_start_up_loads_no_scipy():
-    # every command pays for the import of bosonsim.cli, so it must not pull in scipy
+def source_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a subprocess."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_module_entry_point_exits_with_the_error_code(tmp_path):
+    # python -m bosonsim.cli goes through sys.exit, not just main()
+    path = tmp_path / "bad.matrix"
+    path.write_text("1 2\n3 junk\n")
+    proc = subprocess.run([sys.executable, "-m", "bosonsim.cli", "permanent", str(path)],
+                          env=source_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"bosonsim: [^\n]*:2:[^\n]*\n", proc.stderr), proc.stderr
+
+
+def test_cli_start_up_loads_no_scipy():
+    # every command pays for the import of bosonsim.cli, so it must not pull in scipy
     code = ("import sys, bosonsim.cli; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
+                          text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -313,6 +313,17 @@ def test_visibility_is_the_closed_form(monkeypatch):
     assert np.isclose(visibility(BALANCED, (1, 2), (1, 2)), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("permanent, message", [
+    (1j, "rate has imaginary residue 2.0"),
+    (-1.0, "rate is negative beyond tolerance: -2.0"),
+])
+def test_rate_rejects_an_unphysical_permanent_sum(monkeypatch, permanent, message):
+    # all-ones overlaps weight both of the 2! permanents by 1
+    monkeypatch.setattr(interference, "permanent_ryser", lambda a: permanent)
+    with pytest.raises(ValueError, match=message):
+        coincidence_rate(BALANCED, (1, 2), (1, 2), np.ones((2, 2)))
+
+
 def test_non_integer_modes_are_rejected():
     u = random_unitary(4, 3)
     with pytest.raises(ValueError, match=r"input modes must be integers, got \(1\.9, 2\.2\)"):

@@ -44,12 +44,13 @@ def test_ryser_equals_naive_random(n):
         assert abs(got - expected) <= 1e-9 * (1 + abs(expected))
 
 
-@pytest.mark.parametrize("lo_bits, block_bits", [(0, 0), (1, 1), (2, 3), (3, 5)])
-def test_glynn_blocks_match_naive(monkeypatch, lo_bits, block_bits):
-    # small tables and blocks send n <= 9 through many low/high splits
+@pytest.mark.parametrize("lo_bits, block", [(0, 1), (1, 3), (2, 4), (3, 64)])
+def test_glynn_blocks_match_naive(monkeypatch, lo_bits, block):
+    # small tables send n <= 9 through many blocks, a last block cut short
+    # (block 3) and one block wider than all 2^hi high sign vectors (block 64)
     monkeypatch.setattr(permanent_module, "LO_BITS", lo_bits)
-    monkeypatch.setattr(permanent_module, "BLOCK_BITS", block_bits)
-    rng = np.random.default_rng(lo_bits + 10 * block_bits)
+    monkeypatch.setattr(permanent_module, "BLOCK", block)
+    rng = np.random.default_rng(lo_bits + 10 * block)
     for n in range(1, 10):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         expected = permanent_naive(m)
@@ -58,13 +59,13 @@ def test_glynn_blocks_match_naive(monkeypatch, lo_bits, block_bits):
 
 
 @pytest.mark.parametrize("n", range(1, permanent_module.LO_BITS + 2))
-def test_small_n_requests_only_the_low_sign_table(monkeypatch, n):
-    # every free sign fits the low table, so no block is walked
-    requested = []
-    signs = permanent_module._signs
-    monkeypatch.setattr(permanent_module, "_signs", lambda k: requested.append(k) or signs(k))
-    permanent_ryser(random_unitary(n, 60 + n))
-    assert requested == [n - 1]
+def test_small_n_walks_no_block(monkeypatch, n):
+    # every free sign fits the low table; a walk with BLOCK = 0 would raise
+    u = random_unitary(n, 60 + n)
+    expected = permanent_naive(u) if n <= permanent_module.NAIVE_LIMIT else permanent_ryser(u)
+    monkeypatch.setattr(permanent_module, "BLOCK", 0)
+    got = permanent_ryser(u)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
 def test_phased_permuted_permanent_n20():
@@ -78,7 +79,7 @@ def test_phased_permuted_permanent_n20():
     assert abs(permanent_ryser(b) - expected) <= 1e-12 * abs(expected)
 
 
-@pytest.mark.parametrize("n", [4, 8, 12, 13, 14])
+@pytest.mark.parametrize("n", [4, 8, 12, 13, 14, 16])
 def test_ryser_relative_error_against_oracle(n):
     # the bound stated in the permanent_ryser docstring, with headroom
     u = random_unitary(n, 900 + n)
@@ -123,7 +124,7 @@ def test_unitary_permanent_bounded(n):
 
 
 def test_ryser_bit_identical_repeat():
-    # n = 20 runs 64 high-sign blocks
+    # n = 20 walks 32 blocks of high sign vectors
     for n in (9, 20):
         u = random_unitary(n, 77)
         first = permanent_ryser(u)

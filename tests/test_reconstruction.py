@@ -274,6 +274,17 @@ def test_fit_noiseless_restarts_end_on_convergence():
     assert result.restarts[-1].cost <= 1e-12
 
 
+def test_least_squares_stops_on_gradient_at_a_fitted_minimum():
+    # restarted from a fit's best point, the first Jacobian already passes the gradient test
+    data = simulate_dataset(random_params(2), 10000, seed=1)
+    result = fit(data, FitConfig(restarts=5, seed=0))
+    x = _parameter_vector(result.params.etas, result.params.phis)
+    idx = rec._pair_index_arrays(data.visibility_pairs())
+    again = rec.least_squares(x, data, idx, FitConfig(tolerance=1e-8))
+    assert (again.status, again.nfev, again.njev) == (rec.Stop.GRADIENT, 1, 1)
+    assert np.isclose(again.fun @ again.fun, result.residual, rtol=1e-12)
+
+
 def test_fit_stops_early_and_records_only_the_restarts_run():
     p = random_params(7)
     data = predict_observables(p, default_visibility_pairs(network_of(p)))
