@@ -1,3 +1,4 @@
+import importlib
 import logging
 import os
 import re
@@ -527,3 +528,51 @@ def test_cli_start_up_loads_no_scipy():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_import_loads_neither_numpy_nor_a_submodule():
+    # the CLI caps BLAS threads before numpy loads, so `import bosonsim` must load nothing
+    code = ("import sys, bosonsim; print(bosonsim.__version__, sorted("
+            "m for m in sys.modules if m == 'numpy' or m.startswith('bosonsim.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.1.0 []\n"
+
+
+def test_package_serves_every_public_name_from_its_module():
+    import bosonsim
+
+    modules = [importlib.import_module(f"bosonsim.{name}") for name in (
+        "circuit", "errors", "fock", "interference", "permanent", "reconstruction", "unitary")]
+    for name in bosonsim.__all__:
+        value = getattr(bosonsim, name)
+        owners = [module for module in modules if name in vars(module)]
+        assert owners and all(vars(module)[name] is value for module in owners), name
+        home = getattr(value, "__module__", "")
+        assert not home.startswith("bosonsim.") or getattr(sys.modules[home], name) is value
+    namespace = {}
+    exec("from bosonsim import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(bosonsim.__all__)
+    assert set(bosonsim.__all__) <= set(dir(bosonsim))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bosonsim.no_such_name
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_caps_blas_threads_unless_the_user_set_them(preset, expected):
+    env = source_env()
+    # source_env copies os.environ, which this process's own import of bosonsim.cli may have set
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, bosonsim.cli; task = '/proc/self/task'; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir(task)) if os.path.isdir(task) else '-')")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == expected
+    if preset is None and threads != "-":
+        assert threads == "1"
