@@ -210,7 +210,8 @@ def _observable_line(line: str, entry: str, form: str, require_positive_sigma: b
     if not (math.isfinite(value) and math.isfinite(sigma)):
         raise ValueError(f"non-finite {entry} entry {line!r}")
     if sigma < 0 or (require_positive_sigma and sigma == 0):
-        raise ValueError("uncertainty must be positive")
+        bound = "positive" if require_positive_sigma else "nonnegative"
+        raise ValueError(f"uncertainty must be {bound}")
     return modes, value, sigma
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonsim import cli, fock, io, random_circuit
+from bosonsim import cli, fock, interference, io, random_circuit
 from bosonsim.cli import main
 
 BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
@@ -254,6 +254,19 @@ def test_size_limits_checked_before_loading(tmp_path, capsys):
         "--delay-grid=0:1:100000000000",
     )
     assert code == 3 and "capped" in err
+
+
+def test_hom_scan_photon_cap_exit_code(tmp_path, capsys):
+    n = interference.RATE_PHOTON_LIMIT + 1
+    path = tmp_path / "eye.matrix"
+    io.write_matrix(path, np.eye(n))
+    modes = ",".join(str(k) for k in range(1, n + 1))
+    code, out, err = run_cli(
+        capsys, "hom-scan", str(path), "--in-modes", modes, "--out-modes", modes,
+        "--delay-grid", "0:1:2",
+    )
+    assert code == 3 and out == ""
+    assert f"capped at {interference.RATE_PHOTON_LIMIT} photons" in err
 
 
 def test_size_limits_are_inclusive(balanced_file, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from oracles import rate_pair_sum
 
 import bosonsim.interference as interference
+import bosonsim.permanent as permanent_module
 from bosonsim import (
     DEFAULT_SIGMA_FS,
     DelayConfig,
@@ -77,7 +78,7 @@ def _unit_diagonal_gram(rng, n):
     return gram / np.outer(d, d)
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 3), (5, 3)])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 3), (5, 3), (10, 8)])
 def test_all_ones_limit_is_quantum_rate(m, n):
     rng = np.random.default_rng(m * 10 + n)
     for trial in range(5):
@@ -90,7 +91,7 @@ def test_all_ones_limit_is_quantum_rate(m, n):
         assert abs(rate - transition_probability(u, inp, out)) <= 1e-10
 
 
-@pytest.mark.parametrize("m,n", [(3, 2), (4, 3), (5, 3)])
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 3), (5, 3), (10, 8)])
 def test_identity_limit_is_classical_rate(m, n):
     rng = np.random.default_rng(m + n)
     for trial in range(5):
@@ -161,7 +162,7 @@ def test_rate_input_validation():
     with pytest.raises(ValueError):
         coincidence_rate(BALANCED, (1, 2), (1, 3), np.ones((2, 2)))
     with pytest.raises(SizeLimitError):
-        coincidence_rate(np.eye(8), range(1, 9), range(1, 9), np.ones((8, 8)))
+        coincidence_rate(np.eye(9), range(1, 10), range(1, 10), np.ones((9, 9)))
     with pytest.raises(ValueError):
         coincidence_rate(np.array([[1.0, 1.0], [0.0, 1.0]]), (1, 2), (1, 2), np.ones((2, 2)))
 
@@ -305,23 +306,36 @@ def test_visibility_validates_network_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_visibility_is_the_closed_form(monkeypatch):
-    def no_permanent(_matrix):
-        raise AssertionError("visibility computed a permanent")
+def _forbid(monkeypatch, module, name):
+    def forbidden(*_args):
+        raise AssertionError(f"{module.__name__}.{name} was called")
 
-    monkeypatch.setattr(interference, "permanent_ryser", no_permanent)
+    monkeypatch.setattr(module, name, forbidden)
+
+
+def test_visibility_is_the_closed_form(monkeypatch):
+    _forbid(monkeypatch, permanent_module, "_glynn")
+    _forbid(monkeypatch, interference, "_rate")
     assert np.isclose(visibility(BALANCED, (1, 2), (1, 2)), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("permanent, message", [
-    (1j, "rate has imaginary residue 2.0"),
-    (-1.0, "rate is negative beyond tolerance: -2.0"),
+def test_rates_compute_no_permanent(monkeypatch):
+    _forbid(monkeypatch, permanent_module, "_glynn")
+    u = random_unitary(10, 4)
+    assert coincidence_rate(u, (1, 2, 3, 4, 5), (6, 7, 8, 9, 10), np.ones((5, 5))) > 0.0
+    grid = [DelayConfig((0.0, 0.0, d), 100.0) for d in (-50.0, 0.0, 50.0)]
+    assert len(hom_scan(u, (1, 2, 3), (4, 5, 6), grid)) == 3
+
+
+@pytest.mark.parametrize("overlap, message", [
+    (2j, "rate has imaginary residue 2.0"),
+    (-2.0, "rate is negative beyond tolerance: -2.0"),
 ])
-def test_rate_rejects_an_unphysical_permanent_sum(monkeypatch, permanent, message):
-    # all-ones overlaps weight both of the 2! permanents by 1
-    monkeypatch.setattr(interference, "permanent_ryser", lambda a: permanent)
+def test_rate_rejects_an_unphysical_permanent_sum(monkeypatch, overlap, message):
+    # with the overlap checks bypassed, one photon through a unit amplitude has rate S[0, 0]
+    monkeypatch.setattr(interference, "_check_overlap", lambda s, n: np.asarray(s, dtype=complex))
     with pytest.raises(ValueError, match=message):
-        coincidence_rate(BALANCED, (1, 2), (1, 2), np.ones((2, 2)))
+        coincidence_rate(np.eye(2), (1,), (1,), [[overlap]])
 
 
 def test_non_integer_modes_are_rejected():

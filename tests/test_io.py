@@ -394,6 +394,7 @@ def _replace_line(lines, prefix, new):
          "restarts_used must be a positive integer, got inf"),
         ("eta 3 ", ["eta 3 half"], 0, "eta 3 must be a number, got 'half'"),
         ("residual ", ["residual small"], 0, "residual must be a number, got 'small'"),
+        ("1 1 ", ["1 1 0.25 -0.5"], 0, "uncertainty must be nonnegative"),
     ],
 )
 def test_read_result_rejects_bad_lines(tmp_path, prefix, new, bad, message):
