@@ -128,16 +128,18 @@ class OpticalCircuit:
 
 
 def _couple(u: np.ndarray, i: int, t, r, derivative: bool = False) -> None:
-    """Rows i, i+1 of u (0-based) <- B @ those rows, in place.
+    """Rows i, i+1 of u (0-based, over its last two axes) <- B @ those rows, in place.
 
     B is the coupler block [[t, i*r], [i*r, t]], or with ``derivative`` its
     theta-derivative dB/dtheta = [[-r, i*t], [i*t, -r]] when t = cos(theta)
-    and r = sin(theta).  B is symmetric, so on u.T this right-multiplies u by it.
+    and r = sin(theta).  t and r broadcast against the rows, so each matrix
+    of a stack u can have its own block.  B is symmetric, so on u.T this
+    right-multiplies u by it.
     """
     if derivative:
         t, r = -r, t
-    rows = u[i : i + 2]
-    rows[:] = t * rows + 1j * r * rows[::-1]
+    rows = u[..., i : i + 2, :]
+    rows[...] = t * rows + 1j * r * rows[..., ::-1, :]
 
 
 def _shift_row(u: np.ndarray, i: int, phi) -> None:
@@ -204,53 +206,74 @@ def _parameter_vector(etas, phis) -> np.ndarray:
                            np.asarray(phis, dtype=float)[FIT_PHASES]])
 
 
-def _vector_step(u: np.ndarray, row: int, value: float, coupler: bool,
+def _step_factors(x) -> list:
+    """(cos, sin, exp(i*)) of each fit vector entry, shaped (..., 1, 1) to scale rows."""
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)[..., None, None]
+    cos, sin = np.cos(x), np.sin(x)
+    phase = np.empty(x.shape, dtype=np.complex128)
+    phase.real, phase.imag = cos, sin
+    return list(zip(cos, sin, phase))
+
+
+def _vector_step(u: np.ndarray, row: int, coupler: bool, factors,
                  derivative: bool = False) -> None:
-    """One step of the vector compiler: a coupler at theta = value, or a phase value."""
+    """One step of the vector compiler: a coupler at theta, or a phase, of ``_step_factors``."""
+    cos, sin, phase = factors
     if coupler:
-        _couple(u, row, math.cos(value), math.sin(value), derivative)
+        _couple(u, row, cos, sin, derivative)
     else:
-        _shift_row(u, row, value)
+        u[..., row : row + 1, :] *= phase
+
+
+def _identity_stack(lead: tuple) -> np.ndarray:
+    return np.broadcast_to(np.eye(DEFAULT_MODES, dtype=np.complex128),
+                           (*lead, DEFAULT_MODES, DEFAULT_MODES)).copy()
 
 
 def _vector_unitary(x, prefixes=None) -> np.ndarray:
     """The canonical network's unitary at fit vector x = thetas + phis[FIT_PHASES].
 
     Walks FIT_STEPS, so the other phases are 0, with the elements' row
-    updates and builds no circuit objects; no angle needs wrapping.  If
-    ``prefixes`` is a list, the product of the steps before each step is appended to it.
+    updates and builds no circuit objects; no angle needs wrapping.  x may
+    carry leading stack axes, x[..., k], giving one unitary per vector,
+    shape (..., 5, 5); each matrix of the stack gets the same row updates,
+    in the same order, as a lone vector would.  If ``prefixes`` is a list,
+    the product of the steps before each step is appended to it.
     """
-    values = np.asarray(x, dtype=float).tolist()
-    u = np.eye(DEFAULT_MODES, dtype=np.complex128)
+    factors = _step_factors(x)
+    u = _identity_stack(np.shape(x)[:-1])
     for row, k, coupler in FIT_STEPS:
         if prefixes is not None:
             prefixes.append(u.copy())
-        _vector_step(u, row, values[k], coupler)
+        _vector_step(u, row, coupler, factors[k])
     return u
 
 
 def _unitary_jacobian(x):
-    """U at fit vector x and the stack dU/dx_k over its 12 entries, shape (12, 5, 5).
+    """U at fit vector x and the stack dU/dx_k over its 12 entries, shape (..., 12, 5, 5).
 
-    For step s with element G_s, dU = S_s (dG_s) P_s, where P_s is the
-    product of the steps before it and S_s of those after it.  A phase
-    gives the outer product i S_s[:, row] (G_s P_s)[row, :]; a coupler
-    gives S_s[:, rows] dB P_s[rows, :] with dB its 2 x 2 block
+    x may carry leading stack axes, as in ``_vector_unitary``, and U then
+    has shape (..., 5, 5).  For step s with element G_s, dU = S_s (dG_s) P_s,
+    where P_s is the product of the steps before it and S_s of those after
+    it.  A phase gives the outer product i S_s[:, row] (G_s P_s)[row, :]; a
+    coupler gives S_s[:, rows] dB P_s[rows, :] with dB its 2 x 2 block
     differentiated in theta, which is finite for every theta.  S_s is
     kept transposed, so the symmetric row updates extend it by one step each.
     """
-    values = np.asarray(x, dtype=float).tolist()
+    factors = _step_factors(x)
     prefixes: list[np.ndarray] = []
-    u = _vector_unitary(values, prefixes)
+    u = _vector_unitary(x, prefixes)
     prefixes.append(u)
-    du = np.empty((len(FIT_STEPS), DEFAULT_MODES, DEFAULT_MODES), dtype=np.complex128)
-    suffix_t = np.eye(DEFAULT_MODES, dtype=np.complex128)
+    lead = u.shape[:-2]
+    du = np.empty((*lead, len(FIT_STEPS), DEFAULT_MODES, DEFAULT_MODES), dtype=np.complex128)
+    suffix_t = _identity_stack(lead)
     for s, (row, k, coupler) in reversed(list(enumerate(FIT_STEPS))):
         if coupler:
-            rows = prefixes[s][row : row + 2].copy()
-            _vector_step(rows, 0, values[k], True, derivative=True)
-            du[k] = suffix_t[row : row + 2].T @ rows
+            rows = prefixes[s][..., row : row + 2, :].copy()
+            _vector_step(rows, 0, True, factors[k], derivative=True)
+            du[..., k, :, :] = np.swapaxes(suffix_t[..., row : row + 2, :], -1, -2) @ rows
         else:
-            du[k] = 1j * np.outer(suffix_t[row], prefixes[s + 1][row])
-        _vector_step(suffix_t, row, values[k], coupler)
+            du[..., k, :, :] = 1j * (suffix_t[..., row, :, None]
+                                     * prefixes[s + 1][..., None, row, :])
+        _vector_step(suffix_t, row, coupler, factors[k])
     return u, du

@@ -51,6 +51,9 @@ MIN_TOLERANCE = float(np.finfo(float).eps)
 # can lower the cost any more.
 INITIAL_DAMPING = 1e-3
 MAX_DAMPING = 1e16
+# ``fit`` advances at most this many restarts together, so its memory does
+# not grow with the restart count.
+RESTART_STACK = 20
 
 logger = logging.getLogger("bosonsim")
 
@@ -147,7 +150,7 @@ class FitConfig:
 
 
 class Stop(enum.IntEnum):
-    """Why one restart of ``least_squares`` ended, with tolerance ``tol``."""
+    """Why one restart ended, with tolerance ``tol``, alone or as a row of ``fit``'s stack."""
 
     BUDGET = 0  # max_iterations residual evaluations were spent
     GRADIENT = 1  # each gradient entry is at most tol * |residuals| * sqrt(its damping)
@@ -157,7 +160,10 @@ class Stop(enum.IntEnum):
 
 
 class LeastSquaresResult(NamedTuple):
-    """End point x, its residuals, evaluation counts and the ``Stop`` code."""
+    """End point x, its residuals, evaluation counts and the ``Stop`` code.
+
+    The stacked solver ``_lm_stack`` returns each field with a leading axis over its rows.
+    """
 
     x: np.ndarray
     fun: np.ndarray
@@ -233,21 +239,25 @@ def predict_observables(params: CircuitParameters, visibility_pairs) -> Measurem
 
 
 def _observable_residuals(u, data: MeasurementDataset, idx):
-    """Weighted residuals of the singles of u, then of the visibilities of the pairs idx."""
+    """Weighted residuals of the singles of u, then of the visibilities of the pairs idx.
+
+    u may carry leading stack axes, giving one row of residuals per matrix.
+    """
     measured, weight = data._fit_targets
     vis = _vis_from_rates(*_two_photon_rates(u, idx))
-    resid = (np.concatenate([(np.abs(u) ** 2).ravel(), vis]) - measured) / weight
-    resid[u.size :][~np.isfinite(vis)] = np.sqrt(UNDEFINED_PENALTY)
+    singles = (np.abs(u) ** 2).reshape(*u.shape[:-2], -1)
+    resid = (np.concatenate([singles, vis], axis=-1) - measured) / weight
+    resid[..., singles.shape[-1] :][~np.isfinite(vis)] = np.sqrt(UNDEFINED_PENALTY)
     return resid
 
 
 def _residuals(x, data: MeasurementDataset, idx):
-    """``_observable_residuals`` of the network at fit vector x."""
+    """``_observable_residuals`` of the network at fit vector x, or at each row of a stack x."""
     return _observable_residuals(_vector_unitary(x), data, idx)
 
 
 def _jacobian(x, data: MeasurementDataset, idx):
-    """Exact d(_residuals)/dx, one row per residual.
+    """Exact d(_residuals)/dx, one row per residual; a stack x gives a stack of them.
 
     Singles: d|U|^2 = 2 Re(conj(U) dU).  Visibilities V = (C - Q)/C, from
     the classical rate C = |D|^2 + |X|^2 and the quantum rate
@@ -255,6 +265,7 @@ def _jacobian(x, data: MeasurementDataset, idx):
     dV = (Q dC - C dQ) / C^2.  Rows of penalized (undefined) pairs are 0.
     """
     u, du = _unitary_jacobian(x)
+    u = u[..., None, :, :]  # broadcast against the parameter axis of du
     _, weight = data._fit_targets
     direct, crossed = _pair_products(u, u, idx)
     d_direct, d_crossed = map(np.add, _pair_products(du, u, idx), _pair_products(u, du, idx))
@@ -267,13 +278,95 @@ def _jacobian(x, data: MeasurementDataset, idx):
             (quantum * d_classical - classical * d_quantum) / classical**2,
             0.0,
         )
-    d_singles = 2.0 * (u.conj() * du).real.reshape(len(du), -1)
-    return (np.concatenate([d_singles, d_vis], axis=1) / weight).T
+    d_singles = 2.0 * (u.conj() * du).real.reshape(*du.shape[:-2], -1)
+    return np.swapaxes(np.concatenate([d_singles, d_vis], axis=-1) / weight, -1, -2)
 
 
 def _fold(thetas) -> np.ndarray:
     """Angles with the same sin(theta)^2, reduced into [0, pi/2]."""
     return np.abs(thetas - math.pi * np.round(thetas / math.pi))
+
+
+def _row_dot(a, b):
+    """a @ b for each pair of matching rows of a and b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _lm_stack(x, data: MeasurementDataset, idx, config: FitConfig) -> LeastSquaresResult:
+    """Levenberg-Marquardt from each row of the start stack x, all rows advanced together.
+
+    Each row keeps its own damping lam, growth factor, Moré scaling D,
+    counts and ``Stop`` code, and takes the steps ``least_squares``
+    describes.  A round computes Jacobians only for the rows whose last
+    trial was accepted, solves every running row's damped system in one
+    batched call and evaluates every trial in one ``_residuals`` call;
+    rows that have ended drop out.  Rows share no arithmetic, so each row
+    ends exactly as it would alone.
+
+    The stack stops once its first row, in order, whose cost reaches
+    ``config.tolerance`` and every row before it have ended, or once all
+    rows have.  The result's fields carry a leading axis over the rows up
+    to that one (all of them if none reaches ``tolerance``).
+    """
+    tol = config.tolerance
+    x = np.array(x, dtype=float)
+    f = _residuals(x, data, idx)
+    cost = _row_dot(f, f)
+    nfev, njev = np.ones(len(x), dtype=int), np.zeros(len(x), dtype=int)
+    status = np.full(len(x), -1)
+    fresh = np.ones(len(x), dtype=bool)  # the last trial was accepted: x has no Jacobian yet
+    lam, grow = np.full(len(x), INITIAL_DAMPING), np.full(len(x), 2.0)
+    damping, grad = np.zeros_like(x), np.zeros_like(x)
+    hess = np.zeros(x.shape + x.shape[-1:])
+    eye = np.eye(x.shape[-1])
+    while True:
+        run = np.flatnonzero(status < 0)
+        reached = np.flatnonzero(cost[:run[0] if len(run) else len(x)] <= tol)
+        if len(reached) or not len(run):
+            used = reached[0] + 1 if len(reached) else len(x)
+            return LeastSquaresResult(x[:used], f[:used], nfev[:used], njev[:used],
+                                      status[:used])
+        new = run[fresh[run]]
+        if len(new):
+            jac = _jacobian(x[new], data, idx)
+            njev[new] += 1
+            jac_t = np.swapaxes(jac, 1, 2)
+            hess[new] = jac_t @ jac
+            grad[new] = (jac_t @ f[new, :, None])[..., 0]
+            damping[new] = np.maximum(damping[new], hess[new].diagonal(axis1=1, axis2=2))
+            flat = np.all(np.abs(grad[new]) <= tol * np.sqrt(cost[new, None] * damping[new]),
+                          axis=1)
+            status[new[flat]] = Stop.GRADIENT
+        run = run[status[run] < 0]
+        spent = nfev[run] >= config.max_iterations
+        status[run[spent]] = Stop.BUDGET
+        run = run[~spent]
+        if not len(run):
+            continue
+        lam_d = lam[run, None] * damping[run]
+        step = np.linalg.solve(hess[run] + eye * lam_d[:, None, :], -grad[run, :, None])[..., 0]
+        trial = x[run] + step
+        trial[:, :ETA_COUNT] = _fold(trial[:, :ETA_COUNT])
+        f_trial = _residuals(trial, data, idx)
+        nfev[run] += 1
+        cost_trial = _row_dot(f_trial, f_trial)
+        # actual over predicted reduction; the linear model predicts p^T (lam D p - J^T f)
+        gain = (cost[run] - cost_trial) / _row_dot(step, lam_d * step - grad[run])
+        accepted = gain > 0.0
+        fresh[run] = accepted
+        back = run[~accepted]
+        lam[back], grow[back] = lam[back] * grow[back], 2.0 * grow[back]
+        status[back[lam[back] > MAX_DAMPING]] = Stop.NO_STEP
+        ahead, step, trial = run[accepted], step[accepted], trial[accepted]
+        lowered = cost[ahead] - cost_trial[accepted]
+        short = np.sqrt(_row_dot(step, step)) <= tol * (tol + np.sqrt(_row_dot(trial, trial)))
+        status[ahead] = np.where(lowered <= tol * cost[ahead], Stop.COST,
+                                 np.where(short, Stop.STEP, -1))
+        x[ahead], f[ahead], cost[ahead] = trial, f_trial[accepted], cost_trial[accepted]
+        # Nielsen's rule, in Python floats: numpy's vector power can round a cube
+        # differently from its scalar one, which would tie a row to its place in the stack
+        lam[ahead] *= [max(1.0 / 3.0, 1.0 - (2.0 * g - 1.0) ** 3) for g in gain[accepted].tolist()]
+        grow[ahead] = 2.0
 
 
 def least_squares(x, data: MeasurementDataset, idx, config: FitConfig) -> LeastSquaresResult:
@@ -287,43 +380,12 @@ def least_squares(x, data: MeasurementDataset, idx, config: FitConfig) -> LeastS
     column: ``fit``'s starts, with eta in [0.05, 0.95], have none.  Trial
     points fold every theta into [0, pi/2], which covers each eta = sin^2
     exactly once, so no bound is needed.  At most ``config.max_iterations``
-    residual evaluations are spent; ``Stop`` lists the ways it ends.
+    residual evaluations are spent; ``Stop`` lists the ways it ends.  This
+    is the stack of one of the solver that ``fit`` runs on all its starts.
     """
-    tol = config.tolerance
-    x = np.array(x, dtype=float)
-    f = _residuals(x, data, idx)
-    cost, nfev, njev = float(f @ f), 1, 0
-    damping = np.zeros(len(x))
-    lam, grow = INITIAL_DAMPING, 2.0
-    while True:
-        jac = _jacobian(x, data, idx)
-        njev += 1
-        hess, grad = jac.T @ jac, jac.T @ f
-        damping = np.maximum(damping, hess.diagonal())
-        if np.all(np.abs(grad) <= tol * np.sqrt(cost * damping)):
-            return LeastSquaresResult(x, f, nfev, njev, Stop.GRADIENT)
-        while True:
-            if nfev >= config.max_iterations:
-                return LeastSquaresResult(x, f, nfev, njev, Stop.BUDGET)
-            step = np.linalg.solve(hess + np.diag(lam * damping), -grad)
-            trial = x + step
-            trial[:ETA_COUNT] = _fold(trial[:ETA_COUNT])
-            f_trial = _residuals(trial, data, idx)
-            nfev += 1
-            cost_trial = float(f_trial @ f_trial)
-            # actual over predicted reduction; the linear model predicts p^T (lam D p - J^T f)
-            gain = (cost - cost_trial) / (step @ (lam * damping * step - grad))
-            if gain > 0.0:
-                break
-            lam, grow = lam * grow, 2.0 * grow
-            if lam > MAX_DAMPING:
-                return LeastSquaresResult(x, f, nfev, njev, Stop.NO_STEP)
-        if cost - cost_trial <= tol * cost:
-            return LeastSquaresResult(trial, f_trial, nfev, njev, Stop.COST)
-        if np.linalg.norm(step) <= tol * (tol + np.linalg.norm(trial)):
-            return LeastSquaresResult(trial, f_trial, nfev, njev, Stop.STEP)
-        x, f, cost = trial, f_trial, cost_trial
-        lam, grow = lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
+    end = _lm_stack(np.asarray(x, dtype=float)[None], data, idx, config)
+    return LeastSquaresResult(end.x[0], end.fun[0], int(end.nfev[0]), int(end.njev[0]),
+                              Stop(end.status[0]))
 
 
 def objective(params: CircuitParameters, data: MeasurementDataset) -> float:
@@ -345,9 +407,15 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
     matrices, so the fit vector is the 8 coupler angles and phi5-phi8
     (``circuit.FIT_PHASES`` says why), the result's other phases are 0, and
     its U is one representative of D1 U D2.  Each start draws 8 etas and 11
-    phases from the seeded generator and keeps phi5-phi8.  Restarts run in
-    order, the lowest final objective wins, ties broken by the earliest
-    restart, and restarting stops once the objective falls to ``config.tolerance``.
+    phases from the seeded generator, in restart order, and keeps phi5-phi8.
+    The starts run as the rows of one Levenberg-Marquardt stack, at most
+    RESTART_STACK at a time (``_lm_stack``), and each restart ends bit for bit
+    as ``least_squares`` from its start would.  Records are kept in restart
+    order and end at the first restart whose cost falls to
+    ``config.tolerance``: its stack stops once it and every earlier restart
+    have ended, and no later stack starts, so a noiseless fit may spend work
+    on later rows of that stack that it then drops.  The lowest final cost
+    wins, ties broken by the earliest restart.
     Each coupler is fitted by its angle theta, with eta = sin(theta)^2, so
     every reflectivity stays in [0, 1] without a bound; a start eta maps to
     theta = arcsin(sqrt(eta)).  Phases are fitted unbounded and wrapped
@@ -358,27 +426,30 @@ def fit(data: MeasurementDataset, config: FitConfig = FitConfig()) -> Reconstruc
     finite differences: dU/dx_k comes from the products of the steps
     before and after parameter k's element, and the observables follow
     by the chain rule.  The coupler derivative in theta is finite for
-    every eta in [0, 1].  One DEBUG line per restart goes to the
+    every eta in [0, 1].  One DEBUG line per recorded restart goes to the
     "bosonsim" logger.
     """
     pairs = data.visibility_pairs()
     idx = _pair_index_arrays(pairs)
     rng = _seeded_rng(config.seed)
     runs: list[tuple[RestartRecord, np.ndarray]] = []
-    for start in range(config.restarts):
-        x0 = _parameter_vector(
-            rng.uniform(0.05, 0.95, ETA_COUNT), rng.uniform(0.0, TWO_PI, PHI_COUNT)
-        )
-        result = least_squares(x0, data, idx, config)
-        record = RestartRecord(start, float(result.fun @ result.fun), result.nfev,
-                               result.njev, result.status)
-        runs.append((record, result.x))
-        logger.debug(
-            "fit restart %d: cost %.6g, nfev %d, njev %d, status %d (%s)",
-            record.start, record.cost, record.nfev, record.njev, record.status,
-            record.status.name,
-        )
-        if record.cost <= config.tolerance:
+    for first in range(0, config.restarts, RESTART_STACK):
+        starts = np.array([
+            _parameter_vector(rng.uniform(0.05, 0.95, ETA_COUNT),
+                              rng.uniform(0.0, TWO_PI, PHI_COUNT))
+            for _ in range(min(RESTART_STACK, config.restarts - first))
+        ])
+        end = _lm_stack(starts, data, idx, config)
+        for row, (x, fun, nfev, njev, status) in enumerate(zip(*end)):
+            record = RestartRecord(first + row, float(fun @ fun), int(nfev), int(njev),
+                                   Stop(status))
+            runs.append((record, x))
+            logger.debug(
+                "fit restart %d: cost %.6g, nfev %d, njev %d, status %d (%s)",
+                record.start, record.cost, record.nfev, record.njev, record.status,
+                record.status.name,
+            )
+        if runs[-1][0].cost <= config.tolerance:  # the stack was cut there
             break
     best, best_x = min(runs, key=lambda run: run[0].cost)
     if best.cost >= UNDEFINED_PENALTY:

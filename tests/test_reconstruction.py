@@ -293,19 +293,20 @@ def test_fit_stops_early_and_records_only_the_restarts_run():
 
 
 def test_fit_evaluates_residuals_only_for_steps(monkeypatch):
-    # with the exact Jacobian no residual evaluation is spent on finite differences
-    calls = []
+    # with the exact Jacobian no residual evaluation is spent on finite differences;
+    # a stacked call evaluates one point per row of its fit vectors
+    rows = []
     residuals = rec._residuals
 
-    def counted(*args):
-        calls.append(1)
-        return residuals(*args)
+    def counted(x, *args):
+        rows.append(len(np.atleast_2d(x)))
+        return residuals(x, *args)
 
     monkeypatch.setattr(rec, "_residuals", counted)
     data = simulate_dataset(random_params(32), 1000, seed=3)
     result = fit(data, FitConfig(restarts=2, max_iterations=80, seed=1))
     # the final objective compiles the result's circuit instead
-    assert len(calls) == sum(r.nfev for r in result.restarts)
+    assert sum(rows) == sum(r.nfev for r in result.restarts)
 
 
 def test_fit_never_worse_than_best_start():
@@ -323,6 +324,76 @@ def test_fit_never_worse_than_best_start():
         phis[FIT_PHASES] = wrap_phases(drawn[FIT_PHASES])
         start_objectives.append(objective(CircuitParameters(tuple(etas), tuple(phis)), data))
     assert result.residual <= min(start_objectives) + 1e-12
+
+
+def fit_starts(config) -> list[np.ndarray]:
+    # the fit vectors of config's starts, drawn as fit draws them
+    rng = np.random.default_rng(config.seed)
+    return [_parameter_vector(rng.uniform(0.05, 0.95, 8), rng.uniform(0.0, 2 * np.pi, 11))
+            for _ in range(config.restarts)]
+
+
+def params_at(x) -> CircuitParameters:
+    # the parameters fit reports for the end point x of its best restart
+    phis = np.zeros(11)
+    phis[FIT_PHASES] = rec.wrap_phases(x[8:])
+    return CircuitParameters(tuple(np.sin(x[:8]) ** 2), tuple(phis))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fit_restarts_end_as_lone_least_squares_runs(seed):
+    # the restarts advance as one stack, yet each ends bit for bit where it ends alone
+    data = simulate_dataset(random_params(110 + seed), 10_000, seed=seed)
+    config = FitConfig(restarts=6, seed=seed)
+    idx = rec._pair_index_arrays(data.visibility_pairs())
+    starts = fit_starts(config)
+    alone = [rec.least_squares(x, data, idx, config) for x in starts]
+    result = fit(data, config)
+    assert [(r.cost, r.nfev, r.njev, r.status) for r in result.restarts] == [
+        (float(a.fun @ a.fun), a.nfev, a.njev, a.status) for a in alone]
+    stack = rec._lm_stack(np.array(starts), data, idx, config)
+    assert np.array_equal(stack.x, [a.x for a in alone])
+    assert np.array_equal(stack.fun, [a.fun for a in alone])
+    best = min(range(len(alone)), key=lambda r: result.restarts[r].cost)
+    assert result.params == params_at(alone[best].x)
+
+
+def noiseless_cut_case():
+    # restarts 0-3 of this fit miss the tolerance and restart 4 reaches it
+    p = random_params(1)
+    return predict_observables(p, default_visibility_pairs(network_of(p))), \
+        FitConfig(restarts=20, seed=501)
+
+
+def test_fit_stops_at_the_first_restart_that_reaches_tolerance(caplog):
+    data, config = noiseless_cut_case()
+    idx = rec._pair_index_arrays(data.visibility_pairs())
+    for j, x in enumerate(fit_starts(config)):
+        alone = rec.least_squares(x, data, idx, config)
+        if alone.fun @ alone.fun <= config.tolerance:
+            break
+    assert j > 0
+    caplog.set_level(logging.DEBUG, logger="bosonsim")
+    result = fit(data, config)
+    assert result.restarts_used == len(result.restarts) == j + 1
+    assert result.restarts[-1].cost <= config.tolerance
+    assert all(r.cost > config.tolerance for r in result.restarts[:-1])
+    assert len([m for m in caplog.messages if m.startswith("fit restart")]) == j + 1
+
+
+@pytest.mark.parametrize("stack", [1, 3, 7])
+def test_fit_across_stack_boundaries_matches_one_stack(monkeypatch, stack):
+    # restarts split over several stacks, with the last one cut short or the
+    # tolerance reached in a later stack, end as in one stack of all of them
+    cases = [(simulate_dataset(random_params(34), 1000, seed=5),
+              FitConfig(restarts=8, max_iterations=60, seed=3)), noiseless_cut_case()]
+    whole = [fit(data, config) for data, config in cases]
+    assert whole[1].restarts_used == 5
+    monkeypatch.setattr(rec, "RESTART_STACK", stack)
+    for (data, config), one in zip(cases, whole):
+        parts = fit(data, config)
+        assert parts.restarts == one.restarts
+        assert (parts.params, parts.residual) == (one.params, one.residual)
 
 
 # ----------------------------------------------------------------------
@@ -583,6 +654,63 @@ def test_jacobian_finite_and_one_sided_at_eta_zero_and_one(seed):
     data = rec.simulate_dataset_from_unitary(u, 10_000, seed, pairs)
     sides = np.concatenate([np.where(etas == 1.0, -1.0, 1.0), np.ones(4)])
     assert_jacobian_matches_differences(x, data, sides)
+
+
+def test_stacked_forward_model_equals_lone_rows():
+    # each row of a stack, including all couplers at eta = 0 or 1 (undefined
+    # pairs, penalized), gives bit for bit what the row gives alone
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(0.0, np.pi / 2, (6, 8)), rng.uniform(-7.0, 7.0, (6, 4))],
+                       axis=1)
+    x[0, :8], x[1, :8] = 0.0, np.pi / 2
+    data = simulate_dataset(random_params(35), 10_000, seed=2)
+    idx = rec._pair_index_arrays(data.visibility_pairs())
+    u, du = rec._unitary_jacobian(x)
+    res, jac = rec._residuals(x, data, idx), rec._jacobian(x, data, idx)
+    assert u.shape == (6, 5, 5) and du.shape == (6, 12, 5, 5)
+    assert res.shape == (6, 65) and jac.shape == (6, 65, 12)
+    assert np.array_equal(rec._vector_unitary(x), u)
+    assert np.any(res[0, 25:] == np.sqrt(rec.UNDEFINED_PENALTY))
+    for r, row in enumerate(x):
+        lone_u, lone_du = rec._unitary_jacobian(row)
+        assert np.array_equal(rec._vector_unitary(row), u[r])
+        assert np.array_equal(lone_u, u[r]) and np.array_equal(lone_du, du[r])
+        assert np.array_equal(rec._residuals(row, data, idx), res[r])
+        assert np.array_equal(rec._jacobian(row, data, idx), jac[r])
+    # two stack axes; and a 19-entry vector (8 thetas, 11 phases) reads its first 12
+    assert np.array_equal(rec._residuals(x.reshape(2, 3, 12), data, idx), res.reshape(2, 3, 65))
+    assert np.array_equal(rec._jacobian(x.reshape(3, 2, 12), data, idx), jac.reshape(3, 2, 65, 12))
+    assert np.array_equal(rec._residuals(np.concatenate([x[2], rng.uniform(0, 6, 7)]), data, idx),
+                          res[2])
+
+
+def test_stacked_jacobian_matches_differences_with_eta_corners():
+    # a stack whose rows put couplers at eta = 0 and eta = 1 exactly: each row
+    # of the stacked Jacobian matches central differences of the stacked
+    # residuals in that row's entries, which move no other row
+    x = np.array([interior_point(90 + r) for r in range(4)])
+    x[1, [0, 4]] = 0.0
+    x[2, [3, 6]] = np.pi / 2
+    x[3, [1, 7]], x[3, [2, 5]] = 0.0, np.pi / 2
+    u = rec._vector_unitary(x)
+    # the 10 pairs whose smallest classical rate over the rows is largest
+    _, classical = rec._two_photon_rates(u, rec._CANDIDATE_INDEX)
+    order = np.argsort(-classical.min(axis=0))[:10]
+    assert classical[:, order].min() > rec.CLASSICAL_RATE_FLOOR
+    pairs = [rec._CANDIDATE_PAIRS[j] for j in order]
+    data = rec.simulate_dataset_from_unitary(u[0], 10_000, 3, pairs)
+    idx = rec._pair_index_arrays(pairs)
+    exact = rec._jacobian(x, data, idx)
+    assert exact.shape == (4, 35, 12) and np.all(np.isfinite(exact))
+    for r in range(len(x)):
+        def residuals(y):
+            stack = x.copy()
+            stack[r] = y
+            return rec._residuals(stack, data, idx).ravel()
+
+        numeric = central_differences(residuals, x[r], h=1e-6).reshape(4, 35, 12)
+        assert np.all(np.delete(numeric, r, axis=0) == 0.0)
+        assert np.max(np.abs(exact[r] - numeric[r])) <= 1e-6 * np.max(np.abs(numeric[r]))
 
 
 def test_jacobian_has_full_column_rank():
