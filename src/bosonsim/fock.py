@@ -1,9 +1,13 @@
-"""Fock-basis bookkeeping and the permanent-to-probability pipeline.
+"""Fock-basis bookkeeping, transition probabilities and output distributions.
 
 Occupation vectors are plain tuples of nonnegative ints, one entry per
 mode.  The canonical basis order is lexicographically decreasing, so
 (n, 0, ..., 0) comes first; every distribution in this module lists its
 outcomes in that order.
+
+One transition probability is one permanent; a full distribution takes
+every amplitude from SLOS (Heurtel et al., "Strong simulation of linear
+optical processes", Quantum 7, 931 (2023)), with no permanent per state.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ from .unitary import UNITARY_TOL, _integer, _seeded_rng, as_square_matrix, is_un
 
 BASIS_GUARD = 10_000_000
 COLLISION_FREE_FLOOR = 1e-12
+# (state, mode) pairs that one SLOS scatter step handles at a time
+SLOS_CHUNK = 1 << 13
 
-# factorials up to the permanent kernel's size cap
+# k! up to the photon cap, for the occupation factorials of the input and of single outputs
 _FACTORIAL = np.array([math.factorial(k) for k in range(RYSER_LIMIT + 1)], dtype=float)
 
 
@@ -58,14 +64,26 @@ def enumerate_basis(m: int, n: int) -> list[tuple[int, ...]]:
     size = basis_size(m, n)
     if size > BASIS_GUARD:
         raise CapacityError(f"basis of {size} states exceeds the {BASIS_GUARD} guard")
-    # Photon-mode multisets in lexicographic order are the occupations in decreasing order.
     states = []
-    for modes in itertools.combinations_with_replacement(range(m), n):
+    for modes in _multisets(m, n):
         occ = [0] * m
         for k in modes:
             occ[k] += 1
         states.append(tuple(occ))
     return states
+
+
+def _multisets(m: int, n: int):
+    """Each state's ascending photon modes; in lexicographic order the occupations decrease."""
+    return itertools.combinations_with_replacement(range(m), n)
+
+
+def _basis(m: int, n: int) -> np.ndarray:
+    """The states of enumerate_basis(m, n) as rows of an occupation array, with no size guard."""
+    size = basis_size(m, n)
+    modes = np.fromiter(itertools.chain.from_iterable(_multisets(m, n)), np.intp, size * n)
+    modes += np.repeat(np.arange(size) * m, n)
+    return np.bincount(modes, minlength=size * m).reshape(size, m)
 
 
 def _transition(U, input_state, output_state):
@@ -82,10 +100,8 @@ def _transition(U, input_state, output_state):
 
 
 def _photon_modes(occ) -> np.ndarray:
-    """Ascending photon modes np.repeat(arange(m), occ), one row per state of a stack."""
-    occ = np.asarray(occ, dtype=np.intp)
-    modes = np.broadcast_to(np.arange(occ.shape[-1]), occ.shape)
-    return np.repeat(modes, occ.ravel()).reshape(*occ.shape[:-1], -1)
+    """The ascending mode of each photon of an occupation vector, np.repeat(arange(m), occ)."""
+    return np.repeat(np.arange(len(occ)), occ)
 
 
 def build_submatrix(U, input_state, output_state) -> np.ndarray:
@@ -99,15 +115,41 @@ def build_submatrix(U, input_state, output_state) -> np.ndarray:
     return u[np.ix_(_photon_modes(out), _photon_modes(inp))]
 
 
-def _probabilities(u, inp, outs) -> np.ndarray:
-    """P(inp -> out) per out in outs, from U's columns gathered once by the input photon modes."""
-    occ = np.array(outs, dtype=np.intp)
-    cols = u[:, _photon_modes(inp)]
-    # One call of the public permanent_ryser per state, not a private stacked
-    # kernel: the benchmark tracer wraps it to count and time the permanent
-    # layer, and reads n from each call's matrix.
-    per2 = [abs(permanent_ryser(cols[rows])) ** 2 for rows in _photon_modes(occ)]
-    return np.array(per2) / (_FACTORIAL[list(inp)].prod() * _FACTORIAL[occ].prod(axis=1))
+def _probability(u, inp, out) -> float:
+    """P(inp -> out) by one call of permanent_ryser, which the benchmark tracer wraps by name."""
+    per = permanent_ryser(u[np.ix_(_photon_modes(out), _photon_modes(inp))])
+    return abs(per) ** 2 / (_FACTORIAL[list(inp)].prod() * _FACTORIAL[list(out)].prod())
+
+
+def _amplitudes(u, inp) -> tuple[np.ndarray, np.ndarray]:
+    """SLOS: c_T, the coefficient of x^T in prod_j (sum_k U[k, s_j] x_k), and f_T = prod_k T_k!.
+
+    P(inp -> T) = |c_T|^2 f_T / prod_k inp_k! over the n-photon states T in
+    canonical order.  Photon j multiplies in its form: each d-photon state P
+    passes c_P U[k, s_j] to P + e_k, of rank rank(P) + sum_{i=1..k}
+    basis_size(m - i, R_i) among the d+1 photon states, where R_i counts P's
+    photons in modes i..m-1.  The n C(m+n-1, n) pairs (P, k) go about
+    SLOS_CHUNK at a time; np.add.at adds in pair order, so no bit depends on it.
+    """
+    m = len(inp)
+    photons = _photon_modes(inp)
+    # step[R, i] = basis_size(m - i, R), and 0 at i = 0: its cumsum over modes is the rank offset
+    step = np.array([[basis_size(m - i, r) if i else 0 for i in range(m)]
+                     for r in range(len(photons))])
+    rows = max(1, SLOS_CHUNK // m)
+    c, f = np.ones(1, dtype=complex), np.ones(1)
+    for d, s in enumerate(photons):
+        parents = _basis(m, d)
+        c_next = np.zeros(basis_size(m, d + 1), dtype=complex)
+        f_next = np.empty(len(c_next))
+        for lo in range(0, len(parents), rows):
+            block = parents[lo:lo + rows]
+            suffix = np.cumsum(block[:, ::-1], axis=1)[:, ::-1]
+            ranks = np.arange(lo, lo + len(block))[:, None] + np.cumsum(step[suffix, range(m)], 1)
+            np.add.at(c_next, ranks, c[lo:lo + rows, None] * u[:, s])
+            f_next[ranks] = f[lo:lo + rows, None] * (block + 1)
+        c, f = c_next, f_next
+    return c, f
 
 
 def transition_probability(U, input_state, output_state) -> float:
@@ -115,7 +157,7 @@ def transition_probability(U, input_state, output_state) -> float:
     u, inp, out = _transition(U, input_state, output_state)
     if not is_unitary(u, UNITARY_TOL):
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
-    return _probabilities(u, inp, [out])[0]
+    return _probability(u, inp, out)
 
 
 @dataclass(frozen=True)
@@ -156,7 +198,8 @@ def full_distribution(U, input_state) -> OutputDistribution:
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
     n = sum(inp)
     basis = enumerate_basis(len(inp), n)
-    probs = _probabilities(u, inp, basis)
+    c, f = _amplitudes(u, inp)
+    probs = (c.real ** 2 + c.imag ** 2) * f / _FACTORIAL[list(inp)].prod()
     # To first order |sum - 1| <= n * UNITARY_TOL for any matrix is_unitary accepts.
     total = float(probs.sum())
     if abs(total - 1.0) > 2 * n * UNITARY_TOL:
@@ -164,6 +207,14 @@ def full_distribution(U, input_state) -> OutputDistribution:
             f"output probabilities sum to {total}; the matrix is not unitary "
             "enough to produce a normalized distribution"
         )
+    # One permanent recomputes the largest entry: amplitudes put on the wrong
+    # states keep the sum but fail here.  It also keeps alive the permanent layer
+    # that the benchmark declares for sampling, until ROADMAP item 1 retires it.
+    top = int(np.argmax(probs))
+    check = _probability(u, inp, basis[top])
+    if abs(probs[top] - check) > 1e-9 * check:
+        raise ValueError(f"SLOS gives P{basis[top]} = {probs[top]:.17g}, "
+                         f"but its permanent gives {check:.17g}")
     return OutputDistribution(inp, tuple(basis), probs, 1.0)
 
 

@@ -321,6 +321,76 @@ def test_full_distribution_rejects_non_unitary():
 
 
 def test_full_distribution_reports_an_unnormalized_sum(monkeypatch):
-    monkeypatch.setattr(fock, "permanent_ryser", lambda a: 2.0)
+    # coefficients 2, 0, 2 with unit factorials over (2, 0), (1, 1), (0, 2)
+    monkeypatch.setattr(fock, "_amplitudes", lambda u, inp: (np.array([2.0, 0.0, 2.0]), np.ones(3)))
     with pytest.raises(ValueError, match=r"output probabilities sum to 8\.0;"):
         full_distribution(np.eye(2), (1, 1))
+
+
+def test_full_distribution_cross_checks_its_largest_entry(monkeypatch):
+    # a wrong permanent leaves the SLOS sum at 1, so only the cross-check sees it
+    permanent = fock.permanent_ryser
+    monkeypatch.setattr(fock, "permanent_ryser", lambda a: 2 * permanent(a))
+    with pytest.raises(ValueError, match=r"SLOS gives P\(.*\) = .*, but its permanent gives"):
+        full_distribution(random_unitary(4, 2), (1, 0, 1, 0))
+
+
+# ----------------------------------------------------------------------
+# SLOS amplitudes
+# ----------------------------------------------------------------------
+
+def _slos_probabilities(u, inp):
+    c, f = fock._amplitudes(u, inp)
+    return np.abs(c) ** 2 * f / math.prod(math.factorial(k) for k in inp)
+
+
+# vacuum, one photon, collision-free and bunched inputs per mode count
+SLOS_INPUTS = [
+    (0,), (1,), (3,),
+    (0, 0), (0, 1), (1, 1), (2, 1),
+    (0, 0, 0, 0, 0), (0, 0, 1, 0, 0), (1, 0, 1, 1, 0), (0, 3, 0, 0, 1),
+    (0,) * 8, (0,) * 7 + (1,), (1, 1, 1, 1, 0, 0, 0, 0), (2, 0, 0, 1, 0, 0, 0, 2),
+    (0,) * 12, (0, 0, 0, 0, 0, 1) + (0,) * 6, (0, 1) * 2 + (1, 0) * 4, (3,) + (0,) * 10 + (1,),
+    # (n+1)^m = 3^40 overflows int64: ranks must not be base-(n+1) keys
+    (1,) + (0,) * 38 + (1,), (0,) * 20 + (2,) + (0,) * 19,
+]
+
+
+@pytest.mark.parametrize("inp", SLOS_INPUTS, ids=lambda inp: f"{len(inp)}m-" + "".join(map(str, inp)))
+def test_slos_matches_per_state_permanents(inp):
+    m, n = len(inp), sum(inp)
+    u = random_unitary(m, m + n)
+    got = _slos_probabilities(u, inp)
+    if n == 0:
+        assert got.tolist() == [1.0]
+        return
+    expected = [transition_probability(u, inp, out) for out in enumerate_basis(m, n)]
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("inp", [(2, 1), (1, 0, 2), (0, 3, 0, 0, 1), (0, 1) * 2 + (1, 0) * 4])
+def test_slos_chunk_size_changes_no_bit(monkeypatch, chunk, inp):
+    u = random_unitary(len(inp), 5)
+    c, f = fock._amplitudes(u, inp)
+    monkeypatch.setattr(fock, "SLOS_CHUNK", chunk)
+    c_chunked, f_chunked = fock._amplitudes(u, inp)
+    assert np.array_equal(c_chunked, c) and np.array_equal(f_chunked, f)
+
+
+def test_full_distribution_makes_one_permanent_and_one_enumeration(monkeypatch):
+    calls = {"permanent_ryser": 0, "enumerate_basis": 0}
+
+    def counted(name):
+        inner = getattr(fock, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fock, name, counted(name))
+    dist = full_distribution(random_unitary(6, 1), (1, 0, 2, 0, 0, 1))
+    assert len(dist.states) == math.comb(9, 4)
+    assert calls == {"permanent_ryser": 1, "enumerate_basis": 1}
