@@ -22,7 +22,8 @@ from .errors import CapacityError, DegeneratePostselectionError, SizeLimitError
 from .permanent import RYSER_LIMIT, permanent_ryser
 from .unitary import UNITARY_TOL, _integer, _seeded_rng, as_square_matrix, is_unitary
 
-BASIS_GUARD = 10_000_000
+# ints an enumerated basis may hold: per state, its m occupations and n photon modes
+BASIS_GUARD = 100_000_000
 COLLISION_FREE_FLOOR = 1e-12
 # (state, mode) pairs that one SLOS scatter step handles at a time
 SLOS_CHUNK = 1 << 13
@@ -58,12 +59,12 @@ def enumerate_basis(m: int, n: int) -> list[tuple[int, ...]]:
     """All occupation vectors of n photons in m modes, lexicographically decreasing.
 
     The first state is (n, 0, ..., 0), the last (0, ..., 0, n), and the
-    count is C(m+n-1, n).  Raises CapacityError beyond the 1e7 guard.
+    count is C(m+n-1, n).  Raises CapacityError past the guard of 1e8 ints.
     """
     m, n = _integer(m, "mode count", 1), _integer(n, "photon number")
     size = basis_size(m, n)
-    if size > BASIS_GUARD:
-        raise CapacityError(f"basis of {size} states exceeds the {BASIS_GUARD} guard")
+    if size * (m + n) > BASIS_GUARD:
+        raise CapacityError(f"basis of {size} x {m + n} ints exceeds the {BASIS_GUARD} guard")
     states = []
     for modes in _multisets(m, n):
         occ = [0] * m

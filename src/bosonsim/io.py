@@ -1,8 +1,12 @@
 """Plain-text file formats shared by the CLI.
 
-All formats are line oriented; blank lines and lines starting with '#'
-are ignored on input.  Numbers are serialized with 17 significant digits
-so a parse -> serialize round trip reproduces the exact float64 values.
+All formats are line oriented, and every reader walks its file through
+``_Reader``: a leading UTF-8 byte-order mark is dropped, blank lines and
+lines starting with '#' are ignored, and a bad input raises a ValueError
+located as ``path:line: message`` (the file's physical line) or, when no
+one line is at fault, ``path: message``.  Numbers are serialized with 17
+significant digits so a parse -> serialize round trip reproduces the
+exact float64 values.
 
 matrix    one row per line, complex entries "re+imi" separated by spaces
 circuit   "modes m" then one element per line: "coupler i eta" | "phase i phi"
@@ -78,20 +82,46 @@ def _as_output(dest):
             yield fh
 
 
-def _significant_lines(path) -> list[tuple[int, str]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((lineno, stripped))
-    return lines
+class _Reader(contextlib.AbstractContextManager):
+    """The significant lines of one input file, numbered as in the file.
 
+    A ValueError raised inside ``with _Reader(path)`` is raised again as
+    ``path:line: message`` while ``walk`` is on a line, and as
+    ``path: message`` once no walk is.
+    """
 
-def _located(path, lineno, exc: ValueError) -> ValueError:
-    """exc with its file, and its line when known, in front of the message."""
-    where = path if lineno is None else f"{path}:{lineno}"
-    return ValueError(f"{where}: {exc}")
+    def __init__(self, path):
+        self.path = path
+        self.lineno = None
+        text = Path(path).read_text(encoding="utf-8-sig")
+        numbered = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+        self.lines = [(n, line) for n, line in numbered if line and not line.startswith("#")]
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValueError):
+            where = self.path if self.lineno is None else f"{self.path}:{self.lineno}"
+            raise ValueError(f"{where}: {exc}") from None
+
+    def walk(self, lines=None):
+        """Each line of ``lines`` (numbered, default the whole file); errors meanwhile name it."""
+        for self.lineno, line in self.lines if lines is None else lines:
+            yield line
+        self.lineno = None
+
+    def sections(self, names) -> dict[str, list[tuple[int, str]]]:
+        """Numbered lines of each [section]; an unknown header, or data before one, is an error."""
+        sections = {}
+        for line in self.walk():
+            if line.startswith("[") and line.endswith("]"):
+                if line[1:-1] not in names:
+                    expected = " or ".join(f"[{name}]" for name in names)
+                    raise ValueError(f"unknown section {line}, expected {expected}")
+                current = sections.setdefault(line[1:-1], [])
+            elif not sections:
+                raise ValueError("data before any [section] header")
+            else:
+                current.append((self.lineno, line))
+        return sections
 
 
 def sha256_file(path) -> str:
@@ -103,18 +133,14 @@ def sha256_file(path) -> str:
 # ----------------------------------------------------------------------
 
 def read_matrix(path) -> np.ndarray:
-    lines = _significant_lines(path)
     rows = []
-    lineno = None
-    try:
-        for lineno, line in lines:
+    with _Reader(path) as reader:
+        for line in reader.walk():
             rows.append([parse_complex(tok) for tok in line.split()])
             if len(rows[-1]) != len(rows[0]):
                 raise ValueError(f"expected {len(rows[0])} entries per row")
         if not rows:
             raise ValueError("no matrix rows found")
-    except ValueError as exc:
-        raise _located(path, lineno, exc) from None
     return np.array(rows, dtype=np.complex128)
 
 
@@ -130,18 +156,17 @@ def write_matrix(dest, matrix) -> None:
 # ----------------------------------------------------------------------
 
 def read_circuit(path) -> OpticalCircuit:
-    lines = _significant_lines(path)
-    lineno = None
-    try:
-        if not lines:
+    with _Reader(path) as reader:
+        lines = reader.walk()
+        header = next(lines, None)
+        if header is None:
             raise ValueError("empty circuit file")
-        lineno, header = lines[0]
         fields = header.split()
         if len(fields) != 2 or fields[0] != "modes":
             raise ValueError(f"expected 'modes m', got {header!r}")
         mode_count = _integer(_number(fields[1], "mode count"), "mode count", 1)
         elements = []
-        for lineno, line in lines[1:]:
+        for line in lines:
             fields = line.split()
             if len(fields) == 3 and fields[0] == "coupler":
                 elements.append(Coupler(_number(fields[1], "coupler mode"),
@@ -151,10 +176,7 @@ def read_circuit(path) -> OpticalCircuit:
                                              _number(fields[2], "phase")))
             else:
                 raise ValueError(f"expected 'coupler i eta' or 'phase i phi', got {line!r}")
-        lineno = None
         return OpticalCircuit(mode_count, tuple(elements))
-    except ValueError as exc:
-        raise _located(path, lineno, exc) from None
 
 
 def write_circuit(dest, circuit: OpticalCircuit) -> None:
@@ -169,8 +191,8 @@ def write_circuit(dest, circuit: OpticalCircuit) -> None:
 
 def detect_network_kind(path) -> str:
     """'circuit' if the first significant line is a modes header, else 'matrix'."""
-    lines = _significant_lines(path)
-    if lines and lines[0][1].split()[:1] == ["modes"]:
+    first = next(_Reader(path).walk(), "")
+    if first.split()[:1] == ["modes"]:
         return "circuit"
     return "matrix"
 
@@ -178,24 +200,6 @@ def detect_network_kind(path) -> str:
 # ----------------------------------------------------------------------
 # datasets
 # ----------------------------------------------------------------------
-
-def _split_sections(path, names) -> dict[str, list[tuple[int, str]]]:
-    """Lines of each [section] of the file; a header not in ``names`` is an error."""
-    sections: dict[str, list[tuple[int, str]]] = {}
-    current = None
-    for lineno, line in _significant_lines(path):
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            if current not in names:
-                expected = " or ".join(f"[{name}]" for name in names)
-                raise ValueError(f"{path}:{lineno}: unknown section {line}, expected {expected}")
-            sections.setdefault(current, [])
-        elif current is None:
-            raise ValueError(f"{path}:{lineno}: data before any [section] header")
-        else:
-            sections[current].append((lineno, line))
-    return sections
-
 
 def _observable_line(line: str, entry: str, form: str, require_positive_sigma: bool):
     """(modes, value, sigma) of one line of ``form``, e.g. 'out in p sigma'."""
@@ -215,49 +219,45 @@ def _observable_line(line: str, entry: str, form: str, require_positive_sigma: b
     return modes, value, sigma
 
 
-def _parse_observable_sections(path, sections, require_positive_sigma: bool):
+def _parse_observable_sections(reader, sections, require_positive_sigma: bool):
     singles = np.full((DEFAULT_MODES, DEFAULT_MODES), np.nan)
     sigma = np.full((DEFAULT_MODES, DEFAULT_MODES), np.nan)
     records = []
-    lineno = None
-    try:
-        if "singles" not in sections:
-            raise ValueError("missing [singles] section")
-        for lineno, line in sections["singles"]:
-            modes, p, s = _observable_line(
-                line, "singles", "out in p sigma", require_positive_sigma
-            )
-            j, k = (_mode_tuple(modes[:1], DEFAULT_MODES, "output")
-                    + _mode_tuple(modes[1:], DEFAULT_MODES, "input"))
-            if not np.isnan(singles[j - 1, k - 1]):
-                raise ValueError(f"duplicate singles entry ({j}, {k})")
-            if p < 0:
-                raise ValueError(f"negative probability {p}")
-            singles[j - 1, k - 1] = p
-            sigma[j - 1, k - 1] = s
-        for lineno, line in sections.get("visibilities", []):
-            modes, value, s = _observable_line(
-                line, "visibility", "in1 in2 out1 out2 V sigma", require_positive_sigma
-            )
-            records.append(VisibilityRecord(modes[:2], modes[2:], value, s))
-        lineno = None
-        if np.isnan(singles).any():
-            missing = int(np.isnan(singles).sum())
-            raise ValueError(f"[singles] is missing {missing} of {singles.size} entries")
-    except ValueError as exc:
-        raise _located(path, lineno, exc) from None
+    if "singles" not in sections:
+        raise ValueError("missing [singles] section")
+    for line in reader.walk(sections["singles"]):
+        modes, p, s = _observable_line(
+            line, "singles", "out in p sigma", require_positive_sigma
+        )
+        j, k = (_mode_tuple(modes[:1], DEFAULT_MODES, "output")
+                + _mode_tuple(modes[1:], DEFAULT_MODES, "input"))
+        if not np.isnan(singles[j - 1, k - 1]):
+            raise ValueError(f"duplicate singles entry ({j}, {k})")
+        if p < 0:
+            raise ValueError(f"negative probability {p}")
+        singles[j - 1, k - 1] = p
+        sigma[j - 1, k - 1] = s
+    for line in reader.walk(sections.get("visibilities", [])):
+        modes, value, s = _observable_line(
+            line, "visibility", "in1 in2 out1 out2 V sigma", require_positive_sigma
+        )
+        records.append(VisibilityRecord(modes[:2], modes[2:], value, s))
+    if np.isnan(singles).any():
+        missing = int(np.isnan(singles).sum())
+        raise ValueError(f"[singles] is missing {missing} of {singles.size} entries")
     return singles, sigma, tuple(records)
 
 
 def read_dataset(path) -> MeasurementDataset:
     """Parse a measurement dataset, renormalizing each singles column to sum to 1."""
-    sections = _split_sections(path, ("singles", "visibilities"))
-    singles, sigma, records = _parse_observable_sections(
-        path, sections, require_positive_sigma=True
-    )
-    column_sums = singles.sum(axis=0)
-    if np.any(column_sums <= 0):
-        raise ValueError(f"{path}: a singles column has no probability mass")
+    with _Reader(path) as reader:
+        sections = reader.sections(("singles", "visibilities"))
+        singles, sigma, records = _parse_observable_sections(
+            reader, sections, require_positive_sigma=True
+        )
+        column_sums = singles.sum(axis=0)
+        if np.any(column_sums <= 0):
+            raise ValueError("a singles column has no probability mass")
     singles = singles / column_sums
     sigma = sigma / column_sums
     return MeasurementDataset(singles, sigma, records)
@@ -303,15 +303,14 @@ _FIT_FIELDS = ("residual", "iterations", "restarts_used")
 
 
 def read_result(path) -> ReconstructionResult:
-    sections = _split_sections(path, ("parameters", "fit", "singles", "visibilities"))
-    if "parameters" not in sections or "fit" not in sections:
-        raise ValueError(f"{path}: missing [parameters] or [fit] section")
     params = {"eta": {}, "phi": {}}
     counts = {"eta": ETA_COUNT, "phi": PHI_COUNT}
     fit_fields = {}
-    lineno = None
-    try:
-        for lineno, line in sections["parameters"]:
+    with _Reader(path) as reader:
+        sections = reader.sections(("parameters", "fit", "singles", "visibilities"))
+        if "parameters" not in sections or "fit" not in sections:
+            raise ValueError("missing [parameters] or [fit] section")
+        for line in reader.walk(sections["parameters"]):
             fields = line.split()
             if len(fields) != 3 or fields[0] not in params:
                 raise ValueError("expected 'eta k v' or 'phi k v'")
@@ -322,7 +321,7 @@ def read_result(path) -> ReconstructionResult:
             if k in params[kind]:
                 raise ValueError(f"duplicate {kind} {k}")
             params[kind][k] = _number(fields[2], f"{kind} {k}")
-        for lineno, line in sections["fit"]:
+        for line in reader.walk(sections["fit"]):
             key, _, value = line.partition(" ")
             if key not in _FIT_FIELDS:
                 raise ValueError(f"unknown [fit] entry {key!r}")
@@ -335,7 +334,6 @@ def read_result(path) -> ReconstructionResult:
                 fit_fields[key] = number
             else:
                 raise ValueError(f"residual must be finite and nonnegative, got {value}")
-        lineno = None
         missing = [key for key in _FIT_FIELDS if key not in fit_fields]
         if missing:
             raise ValueError(f"[fit] is missing {', '.join(missing)}")
@@ -343,11 +341,9 @@ def read_result(path) -> ReconstructionResult:
             tuple(v for _, v in sorted(params["eta"].items())),
             tuple(v for _, v in sorted(params["phi"].items())),
         )
-    except ValueError as exc:
-        raise _located(path, lineno, exc) from None
-    singles, sigma, records = _parse_observable_sections(
-        path, sections, require_positive_sigma=False
-    )
+        singles, sigma, records = _parse_observable_sections(
+            reader, sections, require_positive_sigma=False
+        )
     return ReconstructionResult(
         params=result_params,
         residual=fit_fields["residual"],

@@ -177,7 +177,7 @@ class RestartRecord:
     """How one restart of a fit ended.
 
     ``cost`` is the sum of squared weighted residuals at its end point;
-    ``status`` is the ``Stop`` code of ``least_squares``.
+    ``status`` is the ``Stop`` code of the restart's own LM run.
     """
 
     start: int

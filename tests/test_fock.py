@@ -54,6 +54,19 @@ def test_basis_guard():
         enumerate_basis(3000, 3)
 
 
+# 2,001,000 and 9,962,680 states, or one state of 10**9 photons: each holds
+# more than 1e8 ints, so the guard refuses it before any state is built
+@pytest.mark.parametrize("m, n", [(2000, 2), (390, 3), (1, 10**9)])
+def test_basis_guard_counts_ints_before_building(monkeypatch, m, n):
+    monkeypatch.setattr(fock, "_multisets", _never_called)
+    with pytest.raises(CapacityError):
+        enumerate_basis(m, n)
+
+
+def _never_called(*_args, **_kwargs):
+    raise AssertionError("called past the basis guard")
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         enumerate_basis(0, 2)

@@ -137,6 +137,10 @@ def test_write_samples_to_path_stream_and_stdout(tmp_path, capsys):
         (io.read_circuit, "modes 5\ncoupler 1 half\n",
          r"f\.txt:2: reflectivity must be a number, got 'half'"),
         (io.read_circuit, "modes 5\nphase 1 pi\n", r"f\.txt:2: phase must be a number, got 'pi'"),
+        (io.read_matrix, "# chip A\n\n1 0\n# second row\n\n0 oops\n",
+         r"f\.txt:6: invalid complex entry 'oops'"),
+        (io.read_circuit, "# chip A\n\nmodes 5\n  # first element\n\ncoupler 1.5 0.5\n",
+         r"f\.txt:6: coupler mode must be a positive integer, got 1\.5"),
     ],
 )
 def test_readers_reject_files_without_their_content(tmp_path, reader, text, message):
@@ -313,6 +317,9 @@ def _full_singles(first_single: str = "1 1 0.2 0.01") -> list[str]:
         (_full_singles() + ["[visibilities]", "0 2 1 2 0.5 0.01"], r":28: .*outside 1\.\.5"),
         (_full_singles() + ["[visibilities]", "2 2 1 2 0.5 0.01"], r":28: .*distinct"),
         (_full_singles() + ["[visibilities]", "1 2 4 4 0.5 0.01"], r":28: .*distinct"),
+        (["# run 3", ""] + _full_singles()
+         + ["", "# pairs", "[visibilities]", "# first pair", "", "1 2 1 2 0.5"],
+         r":34: expected 'in1 in2 out1 out2 V sigma'"),
     ],
 )
 def test_dataset_line_errors_carry_line_numbers(tmp_path, lines, message):
@@ -395,6 +402,7 @@ def _replace_line(lines, prefix, new):
         ("eta 3 ", ["eta 3 half"], 0, "eta 3 must be a number, got 'half'"),
         ("residual ", ["residual small"], 0, "residual must be a number, got 'small'"),
         ("1 1 ", ["1 1 0.25 -0.5"], 0, "uncertainty must be nonnegative"),
+        ("eta 3 ", ["# edited", "", "eta 9 0.5"], 2, r"eta index 9 outside 1\.\.8"),
     ],
 )
 def test_read_result_rejects_bad_lines(tmp_path, prefix, new, bad, message):
@@ -461,3 +469,29 @@ def test_result_rejects_unknown_section(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"bad\.txt:{lineno}: unknown section \[fitting\]"):
         io.read_result(path)
+
+
+@pytest.mark.parametrize(
+    "write, read, value",
+    [
+        (io.write_matrix, io.read_matrix, random_unitary(4, 2)),
+        (io.write_circuit, io.read_circuit, random_circuit(3)),
+        (io.write_dataset, io.read_dataset, simulate_dataset(
+            CircuitParameters(tuple(np.linspace(0.2, 0.8, 8)), tuple(np.linspace(0.0, 6.0, 11))),
+            5000, seed=9)),
+    ],
+    ids=["matrix", "circuit", "dataset"],
+)
+def test_byte_order_mark_reads_like_the_plain_file(tmp_path, write, read, value):
+    plain = tmp_path / "plain.txt"
+    write(plain, value)
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+
+    def reread(path):
+        out = textio.StringIO()
+        write(out, read(path))
+        return out.getvalue()
+
+    assert reread(bom) == reread(plain)
+    assert io.detect_network_kind(bom) == io.detect_network_kind(plain)
