@@ -7,7 +7,8 @@ power reflectivity eta applies the block
     [[T, iR], [iR, T]],   T = sqrt(1 - eta),  R = sqrt(eta),
 
 and a phase shifter multiplies mode i by exp(i*phi).  The fit writes the
-same block as T = cos(theta), R = sin(theta), so eta = sin(theta)^2.
+same block as T = cos(theta), R = sin(theta), so eta = sin(theta)^2; its
+theta-derivative is the block at (T, R) = (-sin(theta), cos(theta)).
 """
 
 from __future__ import annotations
@@ -127,32 +128,17 @@ class OpticalCircuit:
         return [e for e in self.elements if isinstance(e, PhaseShifter)]
 
 
-def _couple(u: np.ndarray, i: int, t, r, derivative: bool = False) -> None:
+def _couple(u: np.ndarray, i: int, t, r) -> None:
     """Rows i, i+1 of u (0-based, over its last two axes) <- B @ those rows, in place.
 
-    B is the coupler block [[t, i*r], [i*r, t]], or with ``derivative`` its
-    theta-derivative dB/dtheta = [[-r, i*t], [i*t, -r]] when t = cos(theta)
-    and r = sin(theta).  t and r broadcast against the rows, so each matrix
-    of a stack u can have its own block.  B is symmetric, so on u.T this
-    right-multiplies u by it.
+    B is the coupler block [[t, i*r], [i*r, t]].  With t = cos(theta) and
+    r = sin(theta) its theta-derivative [[-r, i*t], [i*t, -r]] is the same
+    block at (t, r) = (-sin(theta), cos(theta)), so one update applies both.
+    t and r broadcast against the rows, so each matrix of a stack u can have
+    its own block.  B is symmetric, so on u.T this right-multiplies u by it.
     """
-    if derivative:
-        t, r = -r, t
     rows = u[..., i : i + 2, :]
     rows[...] = t * rows + 1j * r * rows[..., ::-1, :]
-
-
-def _shift_row(u: np.ndarray, i: int, phi) -> None:
-    """Row i of u (0-based) <- exp(i*phi) * row i, in place."""
-    u[i] *= complex(math.cos(phi), math.sin(phi))
-
-
-def _apply_element(u: np.ndarray, element: CircuitElement) -> None:
-    """u <- (unitary of element) @ u, in place."""
-    if isinstance(element, Coupler):
-        _couple(u, element.mode - 1, math.sqrt(1.0 - element.eta), math.sqrt(element.eta))
-    else:
-        _shift_row(u, element.mode - 1, element.phi)
 
 
 def element_unitary(element: CircuitElement, m: int) -> np.ndarray:
@@ -167,8 +153,11 @@ def compile_circuit(circuit: OpticalCircuit) -> np.ndarray:
     two rows, a phase shifter scales its row, so no m x m product is formed.
     """
     u = np.eye(circuit.mode_count, dtype=np.complex128)
-    for element in circuit.elements:
-        _apply_element(u, element)
+    for e in circuit.elements:
+        if isinstance(e, Coupler):
+            _couple(u, e.mode - 1, math.sqrt(1.0 - e.eta), math.sqrt(e.eta))
+        else:
+            u[e.mode - 1] *= complex(math.cos(e.phi), math.sin(e.phi))
     return u
 
 
@@ -215,12 +204,11 @@ def _step_factors(x) -> list:
     return list(zip(cos, sin, phase))
 
 
-def _vector_step(u: np.ndarray, row: int, coupler: bool, factors,
-                 derivative: bool = False) -> None:
+def _vector_step(u: np.ndarray, row: int, coupler: bool, factors) -> None:
     """One step of the vector compiler: a coupler at theta, or a phase, of ``_step_factors``."""
     cos, sin, phase = factors
     if coupler:
-        _couple(u, row, cos, sin, derivative)
+        _couple(u, row, cos, sin)
     else:
         u[..., row : row + 1, :] *= phase
 
@@ -230,21 +218,18 @@ def _identity_stack(lead: tuple) -> np.ndarray:
                            (*lead, DEFAULT_MODES, DEFAULT_MODES)).copy()
 
 
-def _vector_unitary(x, prefixes=None) -> np.ndarray:
+def _vector_unitary(x) -> np.ndarray:
     """The canonical network's unitary at fit vector x = thetas + phis[FIT_PHASES].
 
     Walks FIT_STEPS, so the other phases are 0, with the elements' row
     updates and builds no circuit objects; no angle needs wrapping.  x may
     carry leading stack axes, x[..., k], giving one unitary per vector,
     shape (..., 5, 5); each matrix of the stack gets the same row updates,
-    in the same order, as a lone vector would.  If ``prefixes`` is a list,
-    the product of the steps before each step is appended to it.
+    in the same order, as a lone vector would.
     """
     factors = _step_factors(x)
     u = _identity_stack(np.shape(x)[:-1])
     for row, k, coupler in FIT_STEPS:
-        if prefixes is not None:
-            prefixes.append(u.copy())
         _vector_step(u, row, coupler, factors[k])
     return u
 
@@ -256,24 +241,26 @@ def _unitary_jacobian(x):
     has shape (..., 5, 5).  For step s with element G_s, dU = S_s (dG_s) P_s,
     where P_s is the product of the steps before it and S_s of those after
     it.  A phase gives the outer product i S_s[:, row] (G_s P_s)[row, :]; a
-    coupler gives S_s[:, rows] dB P_s[rows, :] with dB its 2 x 2 block
-    differentiated in theta, which is finite for every theta.  S_s is
-    kept transposed, so the symmetric row updates extend it by one step each.
+    coupler gives S_s[:, rows] dB P_s[rows, :], with dB the block at
+    (t, r) = (-sin, cos) of theta, finite for every theta.  S_s is kept
+    transposed, so the symmetric row updates extend it by one step each.
     """
     factors = _step_factors(x)
-    prefixes: list[np.ndarray] = []
-    u = _vector_unitary(x, prefixes)
-    prefixes.append(u)
-    lead = u.shape[:-2]
+    lead = np.shape(x)[:-1]
+    prefixes = [_identity_stack(lead)]
+    for row, k, coupler in FIT_STEPS:
+        prefixes.append(prefixes[-1].copy())
+        _vector_step(prefixes[-1], row, coupler, factors[k])
     du = np.empty((*lead, len(FIT_STEPS), DEFAULT_MODES, DEFAULT_MODES), dtype=np.complex128)
     suffix_t = _identity_stack(lead)
     for s, (row, k, coupler) in reversed(list(enumerate(FIT_STEPS))):
         if coupler:
+            cos, sin, _ = factors[k]
             rows = prefixes[s][..., row : row + 2, :].copy()
-            _vector_step(rows, 0, True, factors[k], derivative=True)
+            _couple(rows, 0, -sin, cos)
             du[..., k, :, :] = np.swapaxes(suffix_t[..., row : row + 2, :], -1, -2) @ rows
         else:
             du[..., k, :, :] = 1j * (suffix_t[..., row, :, None]
                                      * prefixes[s + 1][..., None, row, :])
         _vector_step(suffix_t, row, coupler, factors[k])
-    return u, du
+    return prefixes[-1], du

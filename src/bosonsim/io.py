@@ -4,9 +4,9 @@ All formats are line oriented, and every reader walks its file through
 ``_Reader``: a leading UTF-8 byte-order mark is dropped, blank lines and
 lines starting with '#' are ignored, and a bad input raises a ValueError
 located as ``path:line: message`` (the file's physical line) or, when no
-one line is at fault, ``path: message``.  Numbers are serialized with 17
-significant digits so a parse -> serialize round trip reproduces the
-exact float64 values.
+one line is at fault (a file that is not UTF-8, say), ``path: message``.
+Numbers are serialized with 17 significant digits so a parse -> serialize
+round trip reproduces the exact float64 values.
 
 matrix    one row per line, complex entries "re+imi" separated by spaces
 circuit   "modes m" then one element per line: "coupler i eta" | "phase i phi"
@@ -87,15 +87,19 @@ class _Reader(contextlib.AbstractContextManager):
 
     A ValueError raised inside ``with _Reader(path)`` is raised again as
     ``path:line: message`` while ``walk`` is on a line, and as
-    ``path: message`` once no walk is.
+    ``path: message`` once no walk is, as is a file that is not UTF-8.
     """
 
     def __init__(self, path):
         self.path = path
         self.lineno = None
-        text = Path(path).read_text(encoding="utf-8-sig")
+        self.data = Path(path).read_bytes()
+
+    @functools.cached_property
+    def lines(self) -> list[tuple[int, str]]:
+        text = self.data.decode("utf-8-sig")
         numbered = enumerate((raw.strip() for raw in text.splitlines()), start=1)
-        self.lines = [(n, line) for n, line in numbered if line and not line.startswith("#")]
+        return [(n, line) for n, line in numbered if line and not line.startswith("#")]
 
     def __exit__(self, kind, exc, traceback):
         if isinstance(exc, ValueError):
@@ -191,7 +195,8 @@ def write_circuit(dest, circuit: OpticalCircuit) -> None:
 
 def detect_network_kind(path) -> str:
     """'circuit' if the first significant line is a modes header, else 'matrix'."""
-    first = next(_Reader(path).walk(), "")
+    with _Reader(path) as reader:
+        first = next(reader.walk(), "")
     if first.split()[:1] == ["modes"]:
         return "circuit"
     return "matrix"

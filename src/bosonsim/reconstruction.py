@@ -54,6 +54,8 @@ MAX_DAMPING = 1e16
 # ``fit`` advances at most this many restarts together, so its memory does
 # not grow with the restart count.
 RESTART_STACK = 20
+# Largest simulated count per setting: numpy's Poisson draw rejects means above about 9.2e18.
+COUNTS_LIMIT = 10**18
 
 logger = logging.getLogger("bosonsim")
 
@@ -497,6 +499,8 @@ def simulate_dataset_from_unitary(
     both counts; no classical count gives 0 +- 1.
     """
     counts_per_setting = _integer(counts_per_setting, "counts_per_setting", 1)
+    if counts_per_setting > COUNTS_LIMIT:
+        raise ValueError(f"counts_per_setting must be at most {COUNTS_LIMIT}")
     u = _checked_network(U)
     if visibility_pairs is None:
         visibility_pairs = default_visibility_pairs(u)

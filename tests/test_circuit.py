@@ -12,7 +12,7 @@ from bosonsim import (
     random_circuit,
     visibility,
 )
-from bosonsim.circuit import COUPLER_UPPER_MODES, _couple, _shift_row, wrap_phases
+from bosonsim.circuit import COUPLER_UPPER_MODES, _couple, _vector_step, wrap_phases
 
 
 def dense_element(element, m):
@@ -92,7 +92,7 @@ def test_row_updates_on_transpose_multiply_from_the_right():
         if isinstance(element, Coupler):
             _couple(b.T, element.mode - 1, np.sqrt(1.0 - element.eta), np.sqrt(element.eta))
         else:
-            _shift_row(b.T, element.mode - 1, element.phi)
+            _vector_step(b.T, element.mode - 1, False, (None, None, np.exp(1j * element.phi)))
         assert np.max(np.abs(b - a @ dense_element(element, 5))) < 1e-14
 
 
@@ -102,13 +102,13 @@ def coupler_block(theta):
 
 
 def test_row_update_applies_coupler_derivative():
-    # with derivative=True and (t, r) = (cos, sin) of theta the update applies dG/dtheta
+    # with (t, r) = (-sin, cos) of theta the update applies dG/dtheta
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
     theta, h = np.arcsin(np.sqrt(0.37)), 1e-6
     d_block = (coupler_block(theta + h) - coupler_block(theta - h)) / (2 * h)
     got = rows.copy()
-    _couple(got, 0, np.cos(theta), np.sin(theta), derivative=True)
+    _couple(got, 0, -np.sin(theta), np.cos(theta))
     assert np.max(np.abs(got - d_block @ rows)) < 1e-8
 
 
@@ -126,7 +126,7 @@ def test_row_update_coupler_derivative_at_eta_ends(eta, side):
     assert np.max(np.abs(block(theta) - dense_element(Coupler(1, eta), 2))) < 1e-15
     d_block = (-3 * block(theta) + 4 * block(theta + h) - block(theta + 2 * h)) / (2 * h)
     got = rows.copy()
-    _couple(got, 0, np.cos(theta), np.sin(theta), derivative=True)
+    _couple(got, 0, -np.sin(theta), np.cos(theta))
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - d_block @ rows)) < 1e-8
 

@@ -379,6 +379,27 @@ def test_reconstruct_nan_sigma_exit_code(tmp_path, capsys):
     assert ":13:" in err
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["distribution", "--input", "1,0"], "modes 2\ncoupler 1 0.5\n".encode("utf-16")),
+    (["permanent"], b"\xff\xfe1+0i\n"),
+    (["reconstruct", "--restarts", "1"], b"\xff\xfe[singles]\n"),
+], ids=["circuit", "matrix", "dataset"])
+def test_undecodable_file_is_named(tmp_path, capsys, argv, content):
+    path = tmp_path / "not-utf8.txt"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *argv[:1], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"bosonsim: {path}: 'utf-8' codec")
+
+
+def test_simulate_counts_above_the_limit_exit_code(circuit_file, capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", circuit_file, "--counts", "1000000000000000000000", "--seed", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "bosonsim: counts_per_setting must be at most 1000000000000000000\n"
+
+
 def test_reconstruct_nonconvergence_exit_code(tmp_path, capsys):
     lines = ["[singles]"]
     reversal = np.eye(5)[::-1]

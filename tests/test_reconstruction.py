@@ -483,6 +483,17 @@ def test_simulate_validation():
         simulate_dataset(random_params(17), 0, seed=1)
 
 
+def test_simulate_counts_limit_names_the_field():
+    # a mean above about 9.2e18 makes numpy's Poisson draw fail with "lam value too large"
+    data = rec.simulate_dataset_from_unitary(np.eye(5), rec.COUNTS_LIMIT, 0, [])
+    assert np.array_equal(data.singles, np.eye(5))
+    for counts in (rec.COUNTS_LIMIT + 1, 10**19):
+        with pytest.raises(ValueError, match=r"^counts_per_setting must be at most 10{18}$"):
+            rec.simulate_dataset_from_unitary(np.eye(5), counts, 0, [])
+    with pytest.raises(ValueError, match=r"^counts_per_setting must be at most"):
+        simulate_dataset(random_params(17), 10**19, seed=1)
+
+
 # ----------------------------------------------------------------------
 # default pair selection
 # ----------------------------------------------------------------------
