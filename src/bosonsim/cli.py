@@ -10,11 +10,21 @@ Exit codes: 0 ok, 2 input error, 3 capacity or size limit,
 
 A CLI process runs BLAS on one thread: importing this module before
 numpy sets OPENBLAS_NUM_THREADS=1 unless the user has set it.
+
+A command loads only the modules it runs: this module imports numpy,
+``io`` and ``errors`` only, and each library name a command calls is
+imported from its module on first use (PEP 562 ``__getattr__``, over the
+package's table of public names). Options whose default the library owns
+are unset in the parser, and the command then leaves them to the
+library. ``entry_point`` freezes the heap once ``main`` returns, so the
+interpreter's collections at exit skip it; ``main`` leaves ``gc`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import os
 import sys
 
@@ -29,23 +39,17 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from . import io
-from .circuit import compile_circuit
+from . import _MODULE_OF, io
 from .errors import (
     DegeneratePostselectionError,
     NonConvergenceError,
     SizeLimitError,
 )
-from .fock import collision_free_distribution, full_distribution, sample
-from .interference import DEFAULT_SIGMA_FS, DelayConfig, hom_scan
-from .permanent import permanent_naive, permanent_ryser
-from .reconstruction import (
-    DEFAULT_PAIR_COUNT,
-    FitConfig,
-    default_visibility_pairs,
-    fit,
-    simulate_dataset_from_unitary,
-)
+
+# This module. Commands call library functions as its attributes, so the
+# first call imports the defining module (``__getattr__`` below) and a
+# wrapper set on this module, as bench/tracer.py sets, is what runs.
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 # Exit code of each error class, first match wins: the size and
@@ -64,10 +68,24 @@ SAMPLE_COUNT_LIMIT = 10_000_000
 DELAY_GRID_LIMIT = 100_000
 
 
+def __getattr__(name):
+    """A public library name, imported from its module on first use and cached here."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"bosonsim.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def _given(**options) -> dict:
+    """The options the user set; an unset (None) one keeps the library's default."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _load_network(path):
     """Compile a circuit file or read a matrix file; returns (unitary, sha256)."""
     if io.detect_network_kind(path) == "circuit":
-        u = compile_circuit(io.read_circuit(path))
+        u = _cli.compile_circuit(io.read_circuit(path))
     else:
         u = io.read_matrix(path)
     return u, io.sha256_file(path)
@@ -99,7 +117,8 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def cmd_permanent(args) -> None:
     matrix = io.read_matrix(args.matrix_file)
-    value = permanent_naive(matrix) if args.method == "naive" else permanent_ryser(matrix)
+    kernel = _cli.permanent_naive if args.method == "naive" else _cli.permanent_ryser
+    value = kernel(matrix)
     sign = "+" if value.imag >= 0 else "-"
     print(f"{value.real:.15g} {sign} {abs(value.imag):.15g}i")
 
@@ -107,7 +126,7 @@ def cmd_permanent(args) -> None:
 def cmd_distribution(args) -> None:
     unitary, source_hash = _load_network(args.network_file)
     input_state = _parse_ints(args.input, "occupation")
-    builder = collision_free_distribution if args.collision_free else full_distribution
+    builder = _cli.collision_free_distribution if args.collision_free else _cli.full_distribution
     dist = builder(unitary, input_state)
     io.write_distribution(args.output, dist, source_hash)
 
@@ -116,7 +135,7 @@ def cmd_sample(args) -> None:
     if args.count > SAMPLE_COUNT_LIMIT:
         raise SizeLimitError(f"sample count is capped at {SAMPLE_COUNT_LIMIT}, got {args.count}")
     unitary, _ = _load_network(args.network_file)
-    states = sample(
+    states = _cli.sample(
         unitary,
         _parse_ints(args.input, "occupation"),
         args.count,
@@ -137,38 +156,37 @@ def cmd_hom_scan(args) -> None:
         raise ValueError(f"scan modes {sorted(unknown)} are not input modes")
     if not scan_modes:
         raise ValueError("need at least one scanned mode")
+    sigma = _cli.DEFAULT_SIGMA_FS if args.sigma is None else args.sigma
     configs = [
-        DelayConfig(
-            tuple(tau if mode in scan_modes else 0.0 for mode in in_modes), args.sigma
-        )
+        _cli.DelayConfig(tuple(tau if mode in scan_modes else 0.0 for mode in in_modes), sigma)
         for tau in grid
     ]
-    results = hom_scan(unitary, in_modes, out_modes, configs)
+    results = _cli.hom_scan(unitary, in_modes, out_modes, configs)
     meta = {
         "source-sha256": source_hash,
         "in-modes": " ".join(str(m) for m in in_modes),
         "out-modes": " ".join(str(m) for m in out_modes),
         "scan-modes": " ".join(str(m) for m in scan_modes),
-        "sigma": io.format_float(args.sigma),
+        "sigma": io.format_float(sigma),
     }
     io.write_hom_scan(args.output, grid, [rate for _, rate in results], meta)
 
 
 def cmd_simulate(args) -> None:
     unitary, _ = _load_network(args.network_file)
-    pairs = default_visibility_pairs(unitary, args.pairs)
-    dataset = simulate_dataset_from_unitary(unitary, args.counts, args.seed, pairs)
+    pairs = _cli.default_visibility_pairs(unitary, **_given(count=args.pairs))
+    dataset = _cli.simulate_dataset_from_unitary(unitary, args.counts, args.seed, pairs)
     io.write_dataset(args.output, dataset)
 
 
 def cmd_reconstruct(args) -> None:
-    config = FitConfig(
+    config = _cli.FitConfig(**_given(
         restarts=args.restarts,
         max_iterations=args.max_iterations,
         tolerance=args.tolerance,
         seed=args.seed,
-    )
-    result = fit(io.read_dataset(args.dataset_file), config)
+    ))
+    result = _cli.fit(io.read_dataset(args.dataset_file), config)
     io.write_result(args.output, result)
 
 
@@ -216,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="input modes that receive the scanned delay (default: all but the first)",
     )
-    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA_FS)
+    p.add_argument("--sigma", type=float)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_hom_scan)
 
@@ -224,20 +242,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network_file")
     p.add_argument("--counts", type=int, required=True, help="counts per setting")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=DEFAULT_PAIR_COUNT, help="visibility pair count")
+    p.add_argument("--pairs", type=int, help="visibility pair count")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="fit network parameters to a dataset")
     p.add_argument("dataset_file")
-    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
-    p.add_argument("--seed", type=int, default=FitConfig.seed)
-    p.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
-    p.add_argument("--tolerance", type=float, default=FitConfig.tolerance)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-iterations", type=int)
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_reconstruct)
 
     return parser
+
+
+def _flush_stdout() -> None:
+    """Flush stdout here, where a failure maps to an exit code.
+
+    If stdout cannot take the output, fd 1 is pointed at os.devnull before
+    the error is raised again, or the interpreter's own flush at exit would
+    fail once more and end the process with "Exception ignored" and 120.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 def main(argv=None) -> int:
@@ -245,6 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        _flush_stdout()
     except tuple(error for error, _ in EXIT_CODES) as exc:
         print(f"bosonsim: {exc}", file=sys.stderr)
         return next(code for error, code in EXIT_CODES if isinstance(exc, error))
@@ -252,7 +285,12 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    # Nothing is left to free: files are closed, and stdout is flushed. The
+    # frozen heap is skipped by the interpreter's collections at exit, about
+    # 20 ms a job; atexit handlers and the final stdio flush still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import itertools
 import math
 import sys
@@ -28,15 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import DEFAULT_MODES, ETA_COUNT, PHI_COUNT, Coupler, OpticalCircuit, PhaseShifter
-from .fock import OutputDistribution
-from .interference import _mode_tuple
-from .reconstruction import (
-    CircuitParameters,
-    MeasurementDataset,
-    ReconstructionResult,
-    VisibilityRecord,
-)
+# The circuit, interference and fit types are imported by the functions
+# that build them, so a command loads only the modules it runs.
 from .unitary import _integer
 
 # sample lines joined into one write
@@ -129,6 +121,8 @@ class _Reader(contextlib.AbstractContextManager):
 
 
 def sha256_file(path) -> str:
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -160,6 +154,8 @@ def write_matrix(dest, matrix) -> None:
 # ----------------------------------------------------------------------
 
 def read_circuit(path) -> OpticalCircuit:
+    from .circuit import Coupler, OpticalCircuit, PhaseShifter
+
     with _Reader(path) as reader:
         lines = reader.walk()
         header = next(lines, None)
@@ -184,6 +180,8 @@ def read_circuit(path) -> OpticalCircuit:
 
 
 def write_circuit(dest, circuit: OpticalCircuit) -> None:
+    from .circuit import Coupler
+
     with _as_output(dest) as fh:
         fh.write(f"modes {circuit.mode_count}\n")
         for element in circuit.elements:
@@ -225,6 +223,10 @@ def _observable_line(line: str, entry: str, form: str, require_positive_sigma: b
 
 
 def _parse_observable_sections(reader, sections, require_positive_sigma: bool):
+    from .circuit import DEFAULT_MODES
+    from .interference import _mode_tuple
+    from .reconstruction import VisibilityRecord
+
     singles = np.full((DEFAULT_MODES, DEFAULT_MODES), np.nan)
     sigma = np.full((DEFAULT_MODES, DEFAULT_MODES), np.nan)
     records = []
@@ -255,6 +257,8 @@ def _parse_observable_sections(reader, sections, require_positive_sigma: bool):
 
 def read_dataset(path) -> MeasurementDataset:
     """Parse a measurement dataset, renormalizing each singles column to sum to 1."""
+    from .reconstruction import MeasurementDataset
+
     with _Reader(path) as reader:
         sections = reader.sections(("singles", "visibilities"))
         singles, sigma, records = _parse_observable_sections(
@@ -308,6 +312,9 @@ _FIT_FIELDS = ("residual", "iterations", "restarts_used")
 
 
 def read_result(path) -> ReconstructionResult:
+    from .circuit import ETA_COUNT, PHI_COUNT
+    from .reconstruction import CircuitParameters, MeasurementDataset, ReconstructionResult
+
     params = {"eta": {}, "phi": {}}
     counts = {"eta": ETA_COUNT, "phi": PHI_COUNT}
     fit_fields = {}

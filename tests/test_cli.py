@@ -346,17 +346,30 @@ def test_simulate_rejects_non_unitary_matrix(tmp_path, capsys):
         assert err == "bosonsim: matrix is not unitary within 1e-08\n"
 
 
-def test_parsed_defaults_are_the_library_defaults():
-    from bosonsim import FitConfig
+def test_parsed_defaults_are_the_library_defaults(tmp_path, circuit_file, capsys, monkeypatch):
+    # the parser leaves these options unset, and the command leaves them to the library
+    from bosonsim import DEFAULT_SIGMA_FS, FitConfig
     from bosonsim.reconstruction import DEFAULT_PAIR_COUNT
 
-    parser = cli.build_parser()
-    args = parser.parse_args(["reconstruct", "data.txt"])
-    parsed = FitConfig(restarts=args.restarts, max_iterations=args.max_iterations,
-                       tolerance=args.tolerance, seed=args.seed)
-    assert parsed == FitConfig()
-    args = parser.parse_args(["simulate", "net.circuit", "--counts", "1", "--seed", "1"])
-    assert args.pairs == DEFAULT_PAIR_COUNT
+    calls = {}
+
+    def record(name):
+        def stop(*args):
+            calls[name] = args
+            raise ValueError("recorded")
+        return stop
+
+    for name in ("fit", "hom_scan"):
+        monkeypatch.setattr(cli, name, record(name))
+    dataset = tmp_path / "data.txt"
+    assert run_cli(capsys, "simulate", circuit_file, "--counts", "1000", "--seed", "1",
+                   "--output", str(dataset))[0] == 0
+    assert len(io.read_dataset(dataset).visibilities) == DEFAULT_PAIR_COUNT
+    assert run_cli(capsys, "reconstruct", str(dataset))[0] == 2
+    assert calls["fit"][1] == FitConfig()
+    assert run_cli(capsys, "hom-scan", circuit_file, "--in-modes", "1,2", "--out-modes", "1,2",
+                   "--delay-grid=0:1:2")[0] == 2
+    assert [config.sigma for config in calls["hom_scan"][3]] == [DEFAULT_SIGMA_FS] * 2
 
 
 def test_reconstruct_malformed_dataset_exit_code(tmp_path, capsys):
@@ -552,6 +565,87 @@ def test_module_entry_point_exits_with_the_error_code(tmp_path):
                           env=source_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert re.fullmatch(r"bosonsim: [^\n]*:2:[^\n]*\n", proc.stderr), proc.stderr
+
+
+def _command_argv(command, balanced_file, circuit_file, dataset_file):
+    return {
+        "permanent": ["permanent", balanced_file],
+        "distribution": ["distribution", circuit_file, "--input", "1,1,0,0,0"],
+        "sample": ["sample", balanced_file, "--input", "1,1", "--count", "5", "--seed", "1"],
+        "hom-scan": ["hom-scan", balanced_file, "--in-modes", "1,2", "--out-modes", "1,2",
+                     "--delay-grid=-100:100:3"],
+        "simulate": ["simulate", circuit_file, "--counts", "100", "--seed", "3"],
+        "reconstruct": ["reconstruct", dataset_file, "--restarts", "2"],
+    }[command]
+
+
+def _run_module(argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "bosonsim.cli", *argv], env=source_env(),
+                          capture_output=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("command", [
+    "permanent", "distribution", "sample", "hom-scan", "simulate", "reconstruct"])
+def test_module_entry_point_output_matches_main(
+        tmp_path, balanced_file, circuit_file, dataset_file, capsys, command):
+    # acceptance criterion 10 through the real entry point and its exit path
+    argv = _command_argv(command, balanced_file, circuit_file, dataset_file)
+    code, out, _ = run_cli(capsys, *argv)
+    proc = _run_module(argv)
+    assert (proc.returncode, proc.stdout, code) == (0, out.encode(), 0), proc.stderr
+    if command != "permanent":
+        ours, theirs = tmp_path / "main.out", tmp_path / "module.out"
+        assert run_cli(capsys, *argv, "--output", str(ours))[0] == 0
+        proc = _run_module([*argv, "--output", str(theirs)])
+        assert (proc.returncode, proc.stdout) == (0, b""), proc.stderr
+        assert theirs.read_bytes() == ours.read_bytes()
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("permanent", {"circuit", "fock", "interference", "reconstruction"}),
+    ("hom-scan", {"circuit", "fock", "reconstruction"}),
+    ("sample", {"circuit", "interference", "reconstruction"}),
+    ("reconstruct", {"fock"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(
+        balanced_file, circuit_file, dataset_file, command, absent):
+    argv = _command_argv(command, balanced_file, circuit_file, dataset_file)
+    code = ("import sys; from bosonsim.cli import main; code = main(sys.argv[1:]); "
+            "print(*sorted(m for m in sys.modules if m.startswith('bosonsim.'))); "
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=source_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.removeprefix("bosonsim.") for name in proc.stdout.splitlines()[-1].split()}
+    assert not loaded & absent, sorted(loaded & absent)
+
+
+def test_only_the_entry_point_freezes_the_heap(balanced_file, capsys):
+    import gc
+
+    assert run_cli(capsys, "permanent", balanced_file)[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (0, True)
+    code = ("import gc, sys; from bosonsim import cli; sys.argv[0] = 'bosonsim'\n"
+            "try:\n    cli.entry_point()\n"
+            "except SystemExit as stop:\n    print(stop.code, gc.get_freeze_count() > 0)")
+    proc = subprocess.run([sys.executable, "-c", code, "permanent", balanced_file],
+                          env=source_env(), capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "0 True", proc.stderr
+
+
+@pytest.mark.parametrize("command", ["permanent", "hom-scan", "sample"])
+def test_full_stdout_is_one_error_line_and_exit_code_2(
+        balanced_file, circuit_file, dataset_file, command):
+    # without PYTHONUNBUFFERED, stdout is block-buffered and fails only when flushed
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    env = source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = _command_argv(command, balanced_file, circuit_file, dataset_file)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "bosonsim.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "bosonsim: [Errno 28] No space left on device\n")
 
 
 def test_cli_start_up_loads_no_scipy():
