@@ -22,7 +22,7 @@ _EXPORTS = {
                "SizeLimitError", "UndefinedVisibilityError"),
     "fock": ("OutputDistribution", "basis_size", "build_submatrix",
              "collision_free_distribution", "enumerate_basis", "full_distribution",
-             "sample", "transition_probability"),
+             "sample", "sample_occupations", "transition_probability"),
     "interference": ("DEFAULT_SIGMA_FS", "DelayConfig", "coincidence_rate", "hom_scan",
                      "overlap_from_delays", "transform_limited_sigma_fs", "visibility"),
     "permanent": ("permanent_naive", "permanent_ryser"),

@@ -82,13 +82,17 @@ def _given(**options) -> dict:
     return {name: value for name, value in options.items() if value is not None}
 
 
-def _load_network(path):
-    """Compile a circuit file or read a matrix file; returns (unitary, sha256)."""
-    if io.detect_network_kind(path) == "circuit":
-        u = _cli.compile_circuit(io.read_circuit(path))
+def _load_network(path, digest: bool = False):
+    """Compile a circuit file or read a matrix file, from one read of its bytes.
+
+    Returns (unitary, sha256 of those bytes), the hash None unless ``digest``.
+    """
+    network = io.InputFile(path)
+    if io.detect_network_kind(network) == "circuit":
+        u = _cli.compile_circuit(io.read_circuit(network))
     else:
-        u = io.read_matrix(path)
-    return u, io.sha256_file(path)
+        u = io.read_matrix(network)
+    return u, io.sha256_file(network) if digest else None
 
 
 def _parse_ints(text: str, label: str) -> tuple[int, ...]:
@@ -124,7 +128,7 @@ def cmd_permanent(args) -> None:
 
 
 def cmd_distribution(args) -> None:
-    unitary, source_hash = _load_network(args.network_file)
+    unitary, source_hash = _load_network(args.network_file, digest=True)
     input_state = _parse_ints(args.input, "occupation")
     builder = _cli.collision_free_distribution if args.collision_free else _cli.full_distribution
     dist = builder(unitary, input_state)
@@ -135,19 +139,19 @@ def cmd_sample(args) -> None:
     if args.count > SAMPLE_COUNT_LIMIT:
         raise SizeLimitError(f"sample count is capped at {SAMPLE_COUNT_LIMIT}, got {args.count}")
     unitary, _ = _load_network(args.network_file)
-    states = _cli.sample(
+    draws = _cli.sample_occupations(
         unitary,
         _parse_ints(args.input, "occupation"),
         args.count,
         args.seed,
         collision_free=args.collision_free,
     )
-    io.write_samples(args.output, states)
+    io.write_samples(args.output, draws)
 
 
 def cmd_hom_scan(args) -> None:
     grid = _parse_grid(args.delay_grid)
-    unitary, source_hash = _load_network(args.network_file)
+    unitary, source_hash = _load_network(args.network_file, digest=True)
     in_modes = _parse_ints(args.in_modes, "mode")
     out_modes = _parse_ints(args.out_modes, "mode")
     scan_modes = _parse_ints(args.scan_modes, "mode") if args.scan_modes else in_modes[1:]

@@ -1,9 +1,9 @@
 """Fock-basis bookkeeping, transition probabilities and output distributions.
 
-Occupation vectors are plain tuples of nonnegative ints, one entry per
-mode.  The canonical basis order is lexicographically decreasing, so
-(n, 0, ..., 0) comes first; every distribution in this module lists its
-outcomes in that order.
+An occupation vector has one nonnegative int per mode.  The canonical
+basis order is lexicographically decreasing, so (n, 0, ..., 0) comes
+first; every distribution in this module lists its outcomes in that
+order, as the rows of one occupation array.
 
 One transition probability is one permanent; a full distribution takes
 every amplitude from SLOS (Heurtel et al., "Strong simulation of linear
@@ -12,6 +12,7 @@ optical processes", Quantum 7, 931 (2023)), with no permanent per state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ from .errors import CapacityError, DegeneratePostselectionError, SizeLimitError
 from .permanent import RYSER_LIMIT, permanent_ryser
 from .unitary import UNITARY_TOL, _integer, _seeded_rng, as_square_matrix, is_unitary
 
-# ints an enumerated basis may hold: per state, its m occupations and n photon modes
+# ints a basis may count, per state its m occupations and n photon modes; checked
+# before enumerate_basis or full_distribution builds any state
 BASIS_GUARD = 100_000_000
 COLLISION_FREE_FLOOR = 1e-12
 # (state, mode) pairs that one SLOS scatter step handles at a time
@@ -55,6 +57,13 @@ def basis_size(m: int, n: int) -> int:
     return math.comb(m + n - 1, n)
 
 
+def _check_basis_guard(m: int, n: int) -> None:
+    """Raise CapacityError if the n-photon basis over m modes holds more than BASIS_GUARD ints."""
+    size = basis_size(m, n)
+    if size * (m + n) > BASIS_GUARD:
+        raise CapacityError(f"basis of {size} x {m + n} ints exceeds the {BASIS_GUARD} guard")
+
+
 def enumerate_basis(m: int, n: int) -> list[tuple[int, ...]]:
     """All occupation vectors of n photons in m modes, lexicographically decreasing.
 
@@ -62,16 +71,8 @@ def enumerate_basis(m: int, n: int) -> list[tuple[int, ...]]:
     count is C(m+n-1, n).  Raises CapacityError past the guard of 1e8 ints.
     """
     m, n = _integer(m, "mode count", 1), _integer(n, "photon number")
-    size = basis_size(m, n)
-    if size * (m + n) > BASIS_GUARD:
-        raise CapacityError(f"basis of {size} x {m + n} ints exceeds the {BASIS_GUARD} guard")
-    states = []
-    for modes in _multisets(m, n):
-        occ = [0] * m
-        for k in modes:
-            occ[k] += 1
-        states.append(tuple(occ))
-    return states
+    _check_basis_guard(m, n)
+    return list(map(tuple, _basis(m, n).tolist()))
 
 
 def _multisets(m: int, n: int):
@@ -80,11 +81,23 @@ def _multisets(m: int, n: int):
 
 
 def _basis(m: int, n: int) -> np.ndarray:
-    """The states of enumerate_basis(m, n) as rows of an occupation array, with no size guard."""
+    """The states of enumerate_basis(m, n) as rows of an occupation array, with no size guard.
+
+    The array has the narrowest unsigned dtype that holds n.  Its rows are
+    filled about SLOS_CHUNK entries at a time, so the photon modes and
+    counts in between never hold the whole basis as 8-byte ints.
+    """
     size = basis_size(m, n)
-    modes = np.fromiter(itertools.chain.from_iterable(_multisets(m, n)), np.intp, size * n)
-    modes += np.repeat(np.arange(size) * m, n)
-    return np.bincount(modes, minlength=size * m).reshape(size, m)
+    occupations = np.empty((size, m), np.min_scalar_type(n))
+    multisets = _multisets(m, n)
+    rows = max(1, SLOS_CHUNK // m)
+    for lo in range(0, size, rows):
+        k = min(rows, size - lo)
+        modes = np.fromiter(itertools.chain.from_iterable(itertools.islice(multisets, k)),
+                            np.intp, k * n)
+        modes += np.repeat(np.arange(k) * m, n)
+        occupations[lo:lo + k] = np.bincount(modes, minlength=k * m).reshape(k, m)
+    return occupations
 
 
 def _transition(U, input_state, output_state):
@@ -165,19 +178,29 @@ def transition_probability(U, input_state, output_state) -> float:
 class OutputDistribution:
     """Exact output distribution over the canonical basis order.
 
-    ``normalization`` is 1.0 for a full distribution; for a postselected
-    one it records the probability mass kept before renormalization.
+    ``occupations`` holds one state per row, read-only, in the narrowest
+    unsigned dtype that holds the photon number; ``states`` is the same
+    states as tuples of ints, built on first access.  ``normalization``
+    is 1.0 for a full distribution; for a postselected one it records the
+    probability mass kept before renormalization.
     """
 
     input_state: tuple[int, ...]
-    states: tuple[tuple[int, ...], ...]
+    occupations: np.ndarray
     probabilities: np.ndarray
     normalization: float
 
     def __post_init__(self):
+        dtype = np.min_scalar_type(sum(self.input_state))
+        occupations = np.asarray(self.occupations, dtype).reshape(-1, len(self.input_state))
         probs = np.asarray(self.probabilities, dtype=float)
-        probs.flags.writeable = False
-        object.__setattr__(self, "probabilities", probs)
+        for name, array in (("occupations", occupations), ("probabilities", probs)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @functools.cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.occupations.tolist()))
 
     def outcomes(self) -> list[tuple[tuple[int, ...], float]]:
         """(state, probability) pairs in canonical basis order."""
@@ -185,9 +208,10 @@ class OutputDistribution:
 
     def probability_of(self, state) -> float:
         target = as_occupation(state)
-        for s, p in zip(self.states, self.probabilities):
-            if s == target:
-                return float(p)
+        if len(target) == len(self.input_state):
+            (match,) = np.nonzero((self.occupations == target).all(axis=1))
+            if len(match):
+                return float(self.probabilities[match[0]])
         raise KeyError(f"state {target} not in distribution")
 
 
@@ -198,7 +222,8 @@ def full_distribution(U, input_state) -> OutputDistribution:
     if not is_unitary(u, UNITARY_TOL):
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
     n = sum(inp)
-    basis = enumerate_basis(len(inp), n)
+    _check_basis_guard(len(inp), n)
+    occupations = _basis(len(inp), n)
     c, f = _amplitudes(u, inp)
     probs = (c.real ** 2 + c.imag ** 2) * f / _FACTORIAL[list(inp)].prod()
     # To first order |sum - 1| <= n * UNITARY_TOL for any matrix is_unitary accepts.
@@ -212,11 +237,12 @@ def full_distribution(U, input_state) -> OutputDistribution:
     # states keep the sum but fail here.  It also keeps alive the permanent layer
     # that the benchmark declares for sampling, until ROADMAP item 1 retires it.
     top = int(np.argmax(probs))
-    check = _probability(u, inp, basis[top])
+    out = tuple(occupations[top].tolist())
+    check = _probability(u, inp, out)
     if abs(probs[top] - check) > 1e-9 * check:
-        raise ValueError(f"SLOS gives P{basis[top]} = {probs[top]:.17g}, "
+        raise ValueError(f"SLOS gives P{out} = {probs[top]:.17g}, "
                          f"but its permanent gives {check:.17g}")
-    return OutputDistribution(inp, tuple(basis), probs, 1.0)
+    return OutputDistribution(inp, occupations, probs, 1.0)
 
 
 def collision_free_distribution(U, input_state) -> OutputDistribution:
@@ -227,24 +253,32 @@ def collision_free_distribution(U, input_state) -> OutputDistribution:
     DegeneratePostselectionError when that mass is numerically zero.
     """
     full = full_distribution(U, input_state)
-    keep = [i for i, s in enumerate(full.states) if max(s) <= 1]
-    mass = float(full.probabilities[keep].sum()) if keep else 0.0
+    keep = full.occupations.max(axis=1) <= 1
+    mass = float(full.probabilities[keep].sum())
     if mass < COLLISION_FREE_FLOOR:
         raise DegeneratePostselectionError(
             f"collision-free mass {mass:.3e} is below {COLLISION_FREE_FLOOR}"
         )
-    states = tuple(full.states[i] for i in keep)
     probs = full.probabilities[keep] / mass
-    return OutputDistribution(full.input_state, states, probs, mass)
+    return OutputDistribution(full.input_state, full.occupations[keep], probs, mass)
 
 
-def sample(U, input_state, count: int, seed: int, collision_free: bool = False) -> list[tuple[int, ...]]:
-    """``count`` i.i.d. output states drawn by inverse CDF over the exact distribution."""
+def sample_occupations(U, input_state, count: int, seed: int,
+                       collision_free: bool = False) -> np.ndarray:
+    """``count`` i.i.d. output states, drawn by inverse CDF over the exact distribution.
+
+    The draws are rows of the distribution's occupation array, one per row
+    of the returned (count, modes) array.
+    """
     count = _integer(count, "count", 1)
     rng = _seeded_rng(seed)
     builder = collision_free_distribution if collision_free else full_distribution
     dist = builder(U, input_state)
     cdf = np.cumsum(dist.probabilities)
     idx = np.searchsorted(cdf, rng.random(count), side="right")
-    idx = np.minimum(idx, len(cdf) - 1)
-    return [dist.states[i] for i in idx]
+    return dist.occupations[np.minimum(idx, len(cdf) - 1)]
+
+
+def sample(U, input_state, count: int, seed: int, collision_free: bool = False) -> list[tuple[int, ...]]:
+    """The draws of ``sample_occupations`` as a list of occupation tuples."""
+    return list(map(tuple, sample_occupations(U, input_state, count, seed, collision_free).tolist()))

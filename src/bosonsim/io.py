@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -74,8 +73,32 @@ def _as_output(dest):
             yield fh
 
 
+class InputFile:
+    """One input file, read once: its path, its bytes and its significant lines.
+
+    Every reader, ``detect_network_kind`` and ``sha256_file`` take one
+    wherever they take a path, so a file that is sniffed, parsed and
+    hashed is read from disk once, and the hash is of the parsed bytes.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.data = Path(path).read_bytes()
+
+    @functools.cached_property
+    def lines(self) -> list[tuple[int, str]]:
+        """The non-blank lines not starting with '#', stripped and numbered as in the file."""
+        text = self.data.decode("utf-8-sig")
+        numbered = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+        return [(n, line) for n, line in numbered if line and not line.startswith("#")]
+
+
+def _input_file(source) -> InputFile:
+    return source if isinstance(source, InputFile) else InputFile(source)
+
+
 class _Reader(contextlib.AbstractContextManager):
-    """The significant lines of one input file, numbered as in the file.
+    """The significant lines of one input file (a path or an InputFile), numbered as in the file.
 
     A ValueError raised inside ``with _Reader(path)`` is raised again as
     ``path:line: message`` while ``walk`` is on a line, and as
@@ -83,15 +106,9 @@ class _Reader(contextlib.AbstractContextManager):
     """
 
     def __init__(self, path):
-        self.path = path
+        self.file = _input_file(path)
+        self.path = self.file.path
         self.lineno = None
-        self.data = Path(path).read_bytes()
-
-    @functools.cached_property
-    def lines(self) -> list[tuple[int, str]]:
-        text = self.data.decode("utf-8-sig")
-        numbered = enumerate((raw.strip() for raw in text.splitlines()), start=1)
-        return [(n, line) for n, line in numbered if line and not line.startswith("#")]
 
     def __exit__(self, kind, exc, traceback):
         if isinstance(exc, ValueError):
@@ -100,7 +117,7 @@ class _Reader(contextlib.AbstractContextManager):
 
     def walk(self, lines=None):
         """Each line of ``lines`` (numbered, default the whole file); errors meanwhile name it."""
-        for self.lineno, line in self.lines if lines is None else lines:
+        for self.lineno, line in self.file.lines if lines is None else lines:
             yield line
         self.lineno = None
 
@@ -123,7 +140,7 @@ class _Reader(contextlib.AbstractContextManager):
 def sha256_file(path) -> str:
     import hashlib
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(_input_file(path).data).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -369,31 +386,53 @@ def read_result(path) -> ReconstructionResult:
 # distribution tables, sample lists, scan curves
 # ----------------------------------------------------------------------
 
+def _text_rows(rows: np.ndarray, sep: str) -> str:
+    """Each row of a 2-D array of nonnegative ints as one line, its entries in decimal joined by ``sep``.
+
+    The bytes come from numpy arithmetic, not from one str per entry: every
+    entry gets as many digit places as the largest entry and a trailing
+    ``sep`` (a newline after a row's last entry), then the leading zeros
+    are dropped, so 0 keeps its last digit.
+    """
+    if rows.size and rows.min() < 0:
+        raise ValueError("occupations must be nonnegative")
+    places = len(str(rows.max())) if rows.size else 1
+    powers = (10 ** np.arange(places - 1, -1, -1)).astype(rows.dtype)
+    values = rows[..., None]
+    text = np.empty(rows.shape + (places + 1,), np.uint8)
+    text[..., :places] = values // powers % 10 + ord("0")
+    text[..., places] = ord(sep)
+    text[:, -1, places] = ord("\n")
+    keep = np.ones(text.shape, bool)
+    keep[..., :places - 1] = values >= powers[:-1]
+    return text[keep].tobytes().decode("ascii")
+
+
 def write_distribution(dest, dist: OutputDistribution, source_hash: str) -> None:
     """CSV of (occupation, probability); outcomes with exactly zero weight are omitted."""
+    weighted = dist.probabilities != 0.0
+    states = _text_rows(dist.occupations[weighted], " ").splitlines()
     with _as_output(dest) as fh:
         fh.write(f"# input: {' '.join(str(x) for x in dist.input_state)}\n")
         fh.write(f"# normalization: {format_float(dist.normalization)}\n")
         fh.write(f"# source-sha256: {source_hash}\n")
         fh.write("occupation,probability\n")
-        for state, p in zip(dist.states, dist.probabilities):
-            if p == 0.0:
-                continue
-            fh.write(f"{' '.join(str(x) for x in state)},{format_float(p)}\n")
+        for state, p in zip(states, dist.probabilities[weighted].tolist()):
+            fh.write(f"{state},{format_float(p)}\n")
 
 
 def write_samples(dest, states) -> None:
-    """One comma-separated line per state; states are occupation tuples of ints, as ``sample`` returns.
+    """One comma-separated line per state.
 
-    Draws repeat states (20,000 draws over 12,376 states hold about 7,000
-    distinct ones), so each distinct state is formatted once.  Lines are
-    written SAMPLE_WRITE_CHUNK at a time, so no string holds them all.
+    ``states`` is a 2-D array with one occupation row per draw, as
+    ``sample_occupations`` returns, or equal-length occupation tuples, as
+    ``sample`` returns.  Lines are formatted in bulk and written
+    SAMPLE_WRITE_CHUNK at a time, so no string holds them all.
     """
-    line = functools.cache(lambda state: ",".join(str(x) for x in state) + "\n")
-    states = iter(states)
+    rows = states if isinstance(states, np.ndarray) else np.array(list(states))
     with _as_output(dest) as fh:
-        while chunk := list(itertools.islice(states, SAMPLE_WRITE_CHUNK)):
-            fh.write("".join(map(line, chunk)))
+        for lo in range(0, len(rows), SAMPLE_WRITE_CHUNK):
+            fh.write(_text_rows(rows[lo:lo + SAMPLE_WRITE_CHUNK], ","))
 
 
 def write_hom_scan(dest, delays, rates, meta: dict) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import logging
 import os
@@ -172,6 +173,58 @@ def test_sample_never_draws_suppressed_outcome(balanced_file, capsys):
     lines = out.splitlines()
     assert len(lines) == 10000
     assert "1,1" not in set(lines)
+
+
+@pytest.mark.parametrize("network, inp", [(BALANCED, "12,0"), (np.eye(3)[[1, 2, 0]], "10,0,3")])
+def test_multi_digit_occupations_in_distribution_and_sample_files(tmp_path, capsys, network, inp):
+    path = tmp_path / "net.matrix"
+    io.write_matrix(path, network)
+    state = tuple(int(x) for x in inp.split(","))
+    dist = fock.full_distribution(io.read_matrix(path), state)
+    expected = "".join(f"{' '.join(map(str, s))},{io.format_float(p)}\n"
+                       for s, p in dist.outcomes() if p != 0.0)
+    code, out, _ = run_cli(capsys, "distribution", str(path), "--input", inp)
+    assert code == 0
+    assert out.split("occupation,probability\n")[1] == expected
+    draws = fock.sample(io.read_matrix(path), state, 500, 9)
+    assert max(max(s) for s in draws) >= 10
+    expected = "".join(",".join(map(str, s)) + "\n" for s in draws)
+    code, out, _ = run_cli(capsys, "sample", str(path), "--input", inp, "--count", "500",
+                           "--seed", "9", "--output", str(tmp_path / "s.txt"))
+    assert (code, out) == (0, "")
+    assert (tmp_path / "s.txt").read_bytes() == expected.encode()
+
+
+def test_one_distribution_job_reads_its_circuit_file_once(circuit_file, capsys, monkeypatch):
+    import io as stdio
+
+    opened = []
+
+    def counted(open_):
+        def wrapper(file, *args, **kwargs):
+            if os.fspath(file) == circuit_file:
+                opened.append(file)
+            return open_(file, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stdio, "open", counted(stdio.open))
+    monkeypatch.setattr("builtins.open", counted(open))
+    code, out, _ = run_cli(capsys, "distribution", circuit_file, "--input", "0,0,1,1,1")
+    assert code == 0
+    assert len(opened) == 1
+    with open(circuit_file, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert f"# source-sha256: {digest}\n" in out
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("sample", ["--input", "0,0,1,1,1", "--count", "5", "--seed", "1"]),
+    ("simulate", ["--counts", "100", "--seed", "1", "--pairs", "2"]),
+])
+def test_commands_that_write_no_hash_compute_none(circuit_file, capsys, monkeypatch, command, extra):
+    monkeypatch.setattr(io, "sha256_file", _never_called)
+    code, _, err = run_cli(capsys, command, circuit_file, *extra)
+    assert (code, err) == (0, "")
 
 
 # ----------------------------------------------------------------------
@@ -478,6 +531,7 @@ def test_reconstruct_stdout_unchanged_by_restart_log(dataset_file, capsys, caplo
 def test_distribution_photon_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fock, "_photon_modes", _never_called)
     monkeypatch.setattr(fock, "enumerate_basis", _never_called)
+    monkeypatch.setattr(fock, "_basis", _never_called)
     path = tmp_path / "one.matrix"
     io.write_matrix(path, np.eye(1))
     code, out, err = run_cli(capsys, "distribution", str(path), "--input", "3000")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_basis_guard_counts_ints_before_building(monkeypatch, m, n):
 
 def _never_called(*_args, **_kwargs):
     raise AssertionError("called past the basis guard")
+
+
+# 1,353,400 states of 203 ints: the distribution's basis is refused before it is built
+def test_full_distribution_checks_the_basis_guard_before_building(monkeypatch):
+    monkeypatch.setattr(fock, "_basis", _never_called)
+    monkeypatch.setattr(fock, "_multisets", _never_called)
+    with pytest.raises(CapacityError, match="exceeds the 100000000 guard"):
+        full_distribution(np.eye(200), (1, 1, 1) + (0,) * 197)
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (3, 2), (12, 6), (5, 30), (2, 300)])
+def test_basis_rows_in_the_narrowest_unsigned_dtype(m, n):
+    occupations = fock._basis(m, n)
+    assert occupations.dtype == np.min_scalar_type(n) == (np.uint8 if n < 256 else np.uint16)
+    assert list(map(tuple, occupations.tolist())) == sorted(compositions(n, m), reverse=True)
 
 
 def test_basis_validation():
@@ -209,6 +225,31 @@ def test_collision_free_identity():
     assert cf.normalization == 1.0
 
 
+def test_distribution_holds_one_read_only_occupation_array():
+    dist = full_distribution(random_unitary(4, 3), (2, 0, 1, 0))
+    assert dist.occupations.dtype == np.uint8 and not dist.occupations.flags.writeable
+    assert dist.occupations.shape == (math.comb(6, 3), 4)
+    assert dist.states is dist.states
+    assert dist.states == tuple(enumerate_basis(4, 3))
+    assert all(type(x) is int for state in dist.states for x in state)
+
+
+def test_probability_of_matches_outcomes_on_every_state():
+    dist = full_distribution(random_unitary(6, 12), (2, 0, 0, 1, 0, 0))
+    assert len(dist.states) == math.comb(8, 3)
+    for state, p in dist.outcomes():
+        assert dist.probability_of(state) == p
+        assert dist.probability_of(list(state)) == p
+
+
+@pytest.mark.parametrize("state", [(1, 1, 1, 0, 0), (1, 1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
+                                   (3, 1, 0, 0, 0, 0), (300, 0, 0, 0, 0, 0)])
+def test_probability_of_a_state_of_the_wrong_length_or_photon_count(state):
+    dist = full_distribution(random_unitary(6, 12), (2, 0, 0, 1, 0, 0))
+    with pytest.raises(KeyError, match=re.escape(f"state {state} not in distribution")):
+        dist.probability_of(state)
+
+
 def test_probability_of_a_state_outside_the_distribution():
     dist = collision_free_distribution(random_unitary(3, 2), (1, 1, 0))
     with pytest.raises(KeyError, match=r"state \(2, 0, 0\) not in distribution"):
@@ -258,6 +299,18 @@ def test_sample_total_variation_convergence():
     assert tv <= 3.0 * np.sqrt(len(dist.states) / count)
 
 
+@pytest.mark.parametrize("collision_free", [False, True])
+def test_sample_is_the_rows_of_sample_occupations(collision_free):
+    u, inp = random_unitary(5, 21), (0, 2, 1, 0, 1)
+    rows = fock.sample_occupations(u, inp, 300, 4, collision_free=collision_free)
+    assert rows.dtype == np.uint8 and rows.shape == (300, 5)
+    draws = sample(u, inp, 300, 4, collision_free=collision_free)
+    assert draws == list(map(tuple, rows.tolist()))
+    assert all(type(x) is int for state in draws for x in state)
+    if collision_free:
+        assert rows.max() <= 1
+
+
 def test_sample_validation():
     with pytest.raises(ValueError):
         sample(np.eye(2), (1, 0), count=0, seed=1)
@@ -285,6 +338,7 @@ def _forbid(*_args, **_kwargs):
 def test_photon_cap_checked_before_allocation(monkeypatch, call):
     monkeypatch.setattr(fock, "_photon_modes", _forbid)
     monkeypatch.setattr(fock, "enumerate_basis", _forbid)
+    monkeypatch.setattr(fock, "_basis", _forbid)
     with pytest.raises(SizeLimitError, match=f"capped at {RYSER_LIMIT}"):
         call()
 
@@ -391,7 +445,7 @@ def test_slos_chunk_size_changes_no_bit(monkeypatch, chunk, inp):
     assert np.array_equal(c_chunked, c) and np.array_equal(f_chunked, f)
 
 
-def test_full_distribution_makes_one_permanent_and_one_enumeration(monkeypatch):
+def test_full_distribution_makes_one_permanent_and_no_enumeration(monkeypatch):
     calls = {"permanent_ryser": 0, "enumerate_basis": 0}
 
     def counted(name):
@@ -406,4 +460,4 @@ def test_full_distribution_makes_one_permanent_and_one_enumeration(monkeypatch):
         monkeypatch.setattr(fock, name, counted(name))
     dist = full_distribution(random_unitary(6, 1), (1, 0, 2, 0, 0, 1))
     assert len(dist.states) == math.comb(9, 4)
-    assert calls == {"permanent_ryser": 1, "enumerate_basis": 1}
+    assert calls == {"permanent_ryser": 1, "enumerate_basis": 0}
