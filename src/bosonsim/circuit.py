@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SizeLimitError
 from .unitary import _integer, _seeded_rng
 
 TWO_PI = 2.0 * math.pi
@@ -30,6 +31,9 @@ OUTPUT_PHASE_MODES = (1, 2, 3)
 ETA_COUNT = len(COUPLER_UPPER_MODES)
 PHI_COUNT = ETA_COUNT + len(OUTPUT_PHASE_MODES)
 RANDOM_ETA_RANGE = (0.2, 0.8)
+# An m x m complex128 unitary takes 16 m^2 bytes, 64 MiB at this many modes;
+# OpticalCircuit refuses more before compile_circuit allocates any m x m array.
+MODE_LIMIT = 2048
 
 # The canonical network as its 19 steps in input-to-output order, each a
 # (0-based row, index into the parameter vector etas + phis, is-coupler)
@@ -110,6 +114,8 @@ class OpticalCircuit:
         object.__setattr__(self, "mode_count", _integer(self.mode_count, "mode count", 1))
         object.__setattr__(self, "elements", tuple(self.elements))
         m = self.mode_count
+        if m > MODE_LIMIT:
+            raise SizeLimitError(f"mode count is capped at {MODE_LIMIT}, got {m}")
         for e in self.elements:
             if isinstance(e, Coupler):
                 if e.mode > m - 1:

@@ -8,12 +8,13 @@ order, as the rows of one occupation array.
 One transition probability is one permanent; a full distribution takes
 every amplitude from SLOS (Heurtel et al., "Strong simulation of linear
 optical processes", Quantum 7, 931 (2023)), with no permanent per state.
+That one pass, ``_slos``, also owns the basis order: it writes each state
+at its rank as it goes, and ``enumerate_basis`` is the pass on zero columns.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,14 +24,14 @@ from .errors import CapacityError, DegeneratePostselectionError, SizeLimitError
 from .permanent import RYSER_LIMIT, permanent_ryser
 from .unitary import UNITARY_TOL, _integer, _seeded_rng, as_square_matrix, is_unitary
 
-# ints a basis may count, per state its m occupations and n photon modes; checked
-# before enumerate_basis or full_distribution builds any state
+# bound on a basis's state count times m + n; checked before enumerate_basis or
+# full_distribution builds any state
 BASIS_GUARD = 100_000_000
 COLLISION_FREE_FLOOR = 1e-12
 # (state, mode) pairs that one SLOS scatter step handles at a time
 SLOS_CHUNK = 1 << 13
 
-# k! up to the photon cap, for the occupation factorials of the input and of single outputs
+# k! up to the photon cap, for the occupation factorials of inputs and of every output state
 _FACTORIAL = np.array([math.factorial(k) for k in range(RYSER_LIMIT + 1)], dtype=float)
 
 
@@ -58,7 +59,7 @@ def basis_size(m: int, n: int) -> int:
 
 
 def _check_basis_guard(m: int, n: int) -> None:
-    """Raise CapacityError if the n-photon basis over m modes holds more than BASIS_GUARD ints."""
+    """Raise CapacityError if the n-photon basis over m modes times m + n exceeds BASIS_GUARD."""
     size = basis_size(m, n)
     if size * (m + n) > BASIS_GUARD:
         raise CapacityError(f"basis of {size} x {m + n} ints exceeds the {BASIS_GUARD} guard")
@@ -68,36 +69,12 @@ def enumerate_basis(m: int, n: int) -> list[tuple[int, ...]]:
     """All occupation vectors of n photons in m modes, lexicographically decreasing.
 
     The first state is (n, 0, ..., 0), the last (0, ..., 0, n), and the
-    count is C(m+n-1, n).  Raises CapacityError past the guard of 1e8 ints.
+    count is C(m+n-1, n).  Raises CapacityError past the guard of 1e8.  The
+    states are the rows of the SLOS pass on n zero columns: one step per photon.
     """
     m, n = _integer(m, "mode count", 1), _integer(n, "photon number")
     _check_basis_guard(m, n)
-    return list(map(tuple, _basis(m, n).tolist()))
-
-
-def _multisets(m: int, n: int):
-    """Each state's ascending photon modes; in lexicographic order the occupations decrease."""
-    return itertools.combinations_with_replacement(range(m), n)
-
-
-def _basis(m: int, n: int) -> np.ndarray:
-    """The states of enumerate_basis(m, n) as rows of an occupation array, with no size guard.
-
-    The array has the narrowest unsigned dtype that holds n.  Its rows are
-    filled about SLOS_CHUNK entries at a time, so the photon modes and
-    counts in between never hold the whole basis as 8-byte ints.
-    """
-    size = basis_size(m, n)
-    occupations = np.empty((size, m), np.min_scalar_type(n))
-    multisets = _multisets(m, n)
-    rows = max(1, SLOS_CHUNK // m)
-    for lo in range(0, size, rows):
-        k = min(rows, size - lo)
-        modes = np.fromiter(itertools.chain.from_iterable(itertools.islice(multisets, k)),
-                            np.intp, k * n)
-        modes += np.repeat(np.arange(k) * m, n)
-        occupations[lo:lo + k] = np.bincount(modes, minlength=k * m).reshape(k, m)
-    return occupations
+    return list(map(tuple, _slos(np.zeros((m, n)))[0].tolist()))
 
 
 def _transition(U, input_state, output_state):
@@ -135,35 +112,36 @@ def _probability(u, inp, out) -> float:
     return abs(per) ** 2 / (_FACTORIAL[list(inp)].prod() * _FACTORIAL[list(out)].prod())
 
 
-def _amplitudes(u, inp) -> tuple[np.ndarray, np.ndarray]:
-    """SLOS: c_T, the coefficient of x^T in prod_j (sum_k U[k, s_j] x_k), and f_T = prod_k T_k!.
+def _slos(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SLOS on (m, n) cols, column j photon j's column of U: the n-photon rows T and c_T.
 
-    P(inp -> T) = |c_T|^2 f_T / prod_k inp_k! over the n-photon states T in
-    canonical order.  Photon j multiplies in its form: each d-photon state P
-    passes c_P U[k, s_j] to P + e_k, of rank rank(P) + sum_{i=1..k}
-    basis_size(m - i, R_i) among the d+1 photon states, where R_i counts P's
-    photons in modes i..m-1.  The n C(m+n-1, n) pairs (P, k) go about
-    SLOS_CHUNK at a time; np.add.at adds in pair order, so no bit depends on it.
+    c_T is the coefficient of x^T in prod_j (sum_k cols[k, j] x_k); the rows are
+    in canonical order, in the narrowest unsigned dtype that holds n.  Photon j
+    passes c_P cols[k, j] from each d-photon state P to P + e_k, whose rank among
+    the d+1 photon states is rank(P) + sum_{i=1..k} basis_size(m - i, R_i), R_i
+    counting P's photons in modes i..m-1; the row P + e_k is written at that rank.
+    The (P, k) pairs go about SLOS_CHUNK at a time.  For one k, P -> P + e_k is one
+    to one, so plain indexed adds with k from m-1 down to 0 add each c_T's terms in
+    the rank order of its parents, as one np.add.at over all pairs would.
     """
-    m = len(inp)
-    photons = _photon_modes(inp)
+    m, n = cols.shape
     # step[R, i] = basis_size(m - i, R), and 0 at i = 0: its cumsum over modes is the rank offset
-    step = np.array([[basis_size(m - i, r) if i else 0 for i in range(m)]
-                     for r in range(len(photons))])
+    step = np.array([[basis_size(m - i, r) if i else 0 for i in range(m)] for r in range(n)])
     rows = max(1, SLOS_CHUNK // m)
-    c, f = np.ones(1, dtype=complex), np.ones(1)
-    for d, s in enumerate(photons):
-        parents = _basis(m, d)
-        c_next = np.zeros(basis_size(m, d + 1), dtype=complex)
-        f_next = np.empty(len(c_next))
-        for lo in range(0, len(parents), rows):
-            block = parents[lo:lo + rows]
+    occupations, c = np.zeros((1, m), np.min_scalar_type(n)), np.ones(1, dtype=complex)
+    for d in range(n):
+        occupations_next = np.empty((basis_size(m, d + 1), m), occupations.dtype)
+        c_next = np.zeros(len(occupations_next), dtype=complex)
+        for lo in range(0, len(occupations), rows):
+            block = occupations[lo:lo + rows]
             suffix = np.cumsum(block[:, ::-1], axis=1)[:, ::-1]
             ranks = np.arange(lo, lo + len(block))[:, None] + np.cumsum(step[suffix, range(m)], 1)
-            np.add.at(c_next, ranks, c[lo:lo + rows, None] * u[:, s])
-            f_next[ranks] = f[lo:lo + rows, None] * (block + 1)
-        c, f = c_next, f_next
-    return c, f
+            occupations_next[ranks] = block[:, None] + np.eye(m, dtype=block.dtype)
+            terms = c[lo:lo + rows, None] * cols[:, d]
+            for k in range(m - 1, -1, -1):
+                c_next[ranks[:, k]] += terms[:, k]
+        occupations, c = occupations_next, c_next
+    return occupations, c
 
 
 def transition_probability(U, input_state, output_state) -> float:
@@ -174,7 +152,7 @@ def transition_probability(U, input_state, output_state) -> float:
     return _probability(u, inp, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputDistribution:
     """Exact output distribution over the canonical basis order.
 
@@ -223,8 +201,10 @@ def full_distribution(U, input_state) -> OutputDistribution:
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
     n = sum(inp)
     _check_basis_guard(len(inp), n)
-    occupations = _basis(len(inp), n)
-    c, f = _amplitudes(u, inp)
+    occupations, c = _slos(u[:, _photon_modes(inp)])
+    f = np.ones(len(c))
+    for column in occupations.T:
+        f *= _FACTORIAL[column]
     probs = (c.real ** 2 + c.imag ** 2) * f / _FACTORIAL[list(inp)].prod()
     # To first order |sum - 1| <= n * UNITARY_TOL for any matrix is_unitary accepts.
     total = float(probs.sum())

@@ -14,6 +14,7 @@ Glynn sum over pairs of sign vectors, with no permanent computed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ class DelayConfig:
             raise ValueError("delays must be finite")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be a positive real, got {self.sigma}")
+        if not sys.float_info.min <= 4.0 * float(self.sigma) * float(self.sigma) < math.inf:
+            raise ValueError(f"sigma {self.sigma} is out of range: 4 sigma^2 is not a normal float")
 
 
 def overlap_from_delays(config: DelayConfig) -> np.ndarray:

@@ -28,6 +28,7 @@ import numpy as np
 
 # The circuit, interference and fit types are imported by the functions
 # that build them, so a command loads only the modules it runs.
+from .errors import SizeLimitError
 from .unitary import _integer
 
 # sample lines joined into one write
@@ -103,6 +104,7 @@ class _Reader(contextlib.AbstractContextManager):
     A ValueError raised inside ``with _Reader(path)`` is raised again as
     ``path:line: message`` while ``walk`` is on a line, and as
     ``path: message`` once no walk is, as is a file that is not UTF-8.
+    A SizeLimitError keeps its class, so its exit code stays 3.
     """
 
     def __init__(self, path):
@@ -113,7 +115,8 @@ class _Reader(contextlib.AbstractContextManager):
     def __exit__(self, kind, exc, traceback):
         if isinstance(exc, ValueError):
             where = self.path if self.lineno is None else f"{self.path}:{self.lineno}"
-            raise ValueError(f"{where}: {exc}") from None
+            raise (SizeLimitError if isinstance(exc, SizeLimitError) else ValueError)(
+                f"{where}: {exc}") from None
 
     def walk(self, lines=None):
         """Each line of ``lines`` (numbered, default the whole file); errors meanwhile name it."""

@@ -5,6 +5,7 @@ from bosonsim import (
     Coupler,
     OpticalCircuit,
     PhaseShifter,
+    SizeLimitError,
     compile_circuit,
     default_topology,
     element_unitary,
@@ -250,3 +251,9 @@ def test_integral_float_modes_are_stored_as_ints():
     assert all(type(x) is int for x in (c.mode_count, c.elements[0].mode, c.elements[1].mode))
     same = OpticalCircuit(3, (Coupler(2, 0.3), PhaseShifter(1, 0.2)))
     assert np.array_equal(compile_circuit(c), compile_circuit(same))
+
+
+def test_mode_count_is_capped_before_any_matrix_is_built():
+    with pytest.raises(SizeLimitError, match="mode count is capped at 2048, got 100000"):
+        OpticalCircuit(100_000, ())
+    assert OpticalCircuit(2048, ()).mode_count == 2048

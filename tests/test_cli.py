@@ -531,7 +531,7 @@ def test_reconstruct_stdout_unchanged_by_restart_log(dataset_file, capsys, caplo
 def test_distribution_photon_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fock, "_photon_modes", _never_called)
     monkeypatch.setattr(fock, "enumerate_basis", _never_called)
-    monkeypatch.setattr(fock, "_basis", _never_called)
+    monkeypatch.setattr(fock, "_slos", _never_called)
     path = tmp_path / "one.matrix"
     io.write_matrix(path, np.eye(1))
     code, out, err = run_cli(capsys, "distribution", str(path), "--input", "3000")
@@ -550,6 +550,26 @@ def test_permanent_overflowing_entry_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, "permanent", str(path))
     assert (code, out) == (2, "")
     assert err == f"bosonsim: {path}:2: invalid complex entry '1e400'\n"
+
+
+def test_permanent_overflowing_value_exit_code(tmp_path, capsys):
+    path = tmp_path / "big.matrix"
+    path.write_text("1e200 0\n0 1e200\n")
+    code, out, err = run_cli(capsys, "permanent", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("bosonsim: the permanent overflows float64") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("distribution", "--input", "1"), ("simulate", "--counts", "100", "--seed", "1")])
+def test_circuit_mode_count_cap_exit_code(tmp_path, capsys, monkeypatch, argv):
+    # np.eye fails the test, so a tree without the cap cannot allocate the 149 GiB unitary
+    monkeypatch.setattr(np, "eye", _never_called)
+    path = tmp_path / "wide.circuit"
+    path.write_text("modes 100000\n")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == f"bosonsim: {path}: mode count is capped at 2048, got 100000\n"
 
 
 @pytest.mark.parametrize(
@@ -573,7 +593,8 @@ def test_hom_scan_rejects_bad_grid_and_scan_modes(balanced_file, capsys, argv, m
 @pytest.mark.parametrize(
     "case, field",
     [("sample", "seed"), ("simulate", "seed"), ("reconstruct", "seed"),
-     ("infinite grid", "delay grid"), ("overflowing grid", "delay grid")],
+     ("infinite grid", "delay grid"), ("overflowing grid", "delay grid"),
+     ("underflowing sigma", "sigma 1e-320 is out of range")],
 )
 def test_bad_seed_or_grid_bound_is_one_error_line(
     balanced_file, circuit_file, tmp_path, capsys, case, field
@@ -586,6 +607,7 @@ def test_bad_seed_or_grid_bound_is_one_error_line(
         "reconstruct": ("reconstruct", str(tmp_path / "missing.txt"), "--seed", "-1"),
         "infinite grid": (*scan, "--delay-grid=0:inf:2"),
         "overflowing grid": (*scan, "--delay-grid=-1e308:1e308:3"),
+        "underflowing sigma": (*scan, "--delay-grid=0:1:3", "--sigma", "1e-320"),
     }[case]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

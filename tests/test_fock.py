@@ -36,7 +36,7 @@ def test_basis_vacuum():
     assert enumerate_basis(3, 0) == [(0, 0, 0)]
 
 
-@pytest.mark.parametrize("m,n", [(1, 0), (1, 4), (3, 0), (4, 3), (6, 5), (12, 3)])
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 4), (3, 0), (4, 3), (6, 5), (12, 3), (2, 300)])
 def test_basis_order_and_contents(m, n):
     states = enumerate_basis(m, n)
     assert states[0] == (n,) + (0,) * (m - 1)
@@ -59,7 +59,7 @@ def test_basis_guard():
 # more than 1e8 ints, so the guard refuses it before any state is built
 @pytest.mark.parametrize("m, n", [(2000, 2), (390, 3), (1, 10**9)])
 def test_basis_guard_counts_ints_before_building(monkeypatch, m, n):
-    monkeypatch.setattr(fock, "_multisets", _never_called)
+    monkeypatch.setattr(fock, "_slos", _never_called)
     with pytest.raises(CapacityError):
         enumerate_basis(m, n)
 
@@ -70,15 +70,14 @@ def _never_called(*_args, **_kwargs):
 
 # 1,353,400 states of 203 ints: the distribution's basis is refused before it is built
 def test_full_distribution_checks_the_basis_guard_before_building(monkeypatch):
-    monkeypatch.setattr(fock, "_basis", _never_called)
-    monkeypatch.setattr(fock, "_multisets", _never_called)
+    monkeypatch.setattr(fock, "_slos", _never_called)
     with pytest.raises(CapacityError, match="exceeds the 100000000 guard"):
         full_distribution(np.eye(200), (1, 1, 1) + (0,) * 197)
 
 
 @pytest.mark.parametrize("m, n", [(1, 0), (3, 2), (12, 6), (5, 30), (2, 300)])
 def test_basis_rows_in_the_narrowest_unsigned_dtype(m, n):
-    occupations = fock._basis(m, n)
+    occupations = fock._slos(np.zeros((m, n)))[0]
     assert occupations.dtype == np.min_scalar_type(n) == (np.uint8 if n < 256 else np.uint16)
     assert list(map(tuple, occupations.tolist())) == sorted(compositions(n, m), reverse=True)
 
@@ -234,6 +233,13 @@ def test_distribution_holds_one_read_only_occupation_array():
     assert all(type(x) is int for state in dist.states for x in state)
 
 
+def test_distributions_compare_and_hash_by_identity():
+    dist, same = full_distribution(np.eye(3), (1, 1, 0)), full_distribution(np.eye(3), (1, 1, 0))
+    assert dist == dist and dist != same
+    assert hash(dist) == hash(dist)
+    assert {dist: "a", same: "b"}[same] == "b"
+
+
 def test_probability_of_matches_outcomes_on_every_state():
     dist = full_distribution(random_unitary(6, 12), (2, 0, 0, 1, 0, 0))
     assert len(dist.states) == math.comb(8, 3)
@@ -338,7 +344,7 @@ def _forbid(*_args, **_kwargs):
 def test_photon_cap_checked_before_allocation(monkeypatch, call):
     monkeypatch.setattr(fock, "_photon_modes", _forbid)
     monkeypatch.setattr(fock, "enumerate_basis", _forbid)
-    monkeypatch.setattr(fock, "_basis", _forbid)
+    monkeypatch.setattr(fock, "_slos", _forbid)
     with pytest.raises(SizeLimitError, match=f"capped at {RYSER_LIMIT}"):
         call()
 
@@ -388,8 +394,9 @@ def test_full_distribution_rejects_non_unitary():
 
 
 def test_full_distribution_reports_an_unnormalized_sum(monkeypatch):
-    # coefficients 2, 0, 2 with unit factorials over (2, 0), (1, 1), (0, 2)
-    monkeypatch.setattr(fock, "_amplitudes", lambda u, inp: (np.array([2.0, 0.0, 2.0]), np.ones(3)))
+    # coefficients 2, 0, 0 over (2, 0), (1, 1), (0, 2): P(2, 0) = 2^2 * 2! = 8
+    rows = np.array([[2, 0], [1, 1], [0, 2]], np.uint8)
+    monkeypatch.setattr(fock, "_slos", lambda cols: (rows, np.array([2.0, 0.0, 0.0])))
     with pytest.raises(ValueError, match=r"output probabilities sum to 8\.0;"):
         full_distribution(np.eye(2), (1, 1))
 
@@ -407,7 +414,8 @@ def test_full_distribution_cross_checks_its_largest_entry(monkeypatch):
 # ----------------------------------------------------------------------
 
 def _slos_probabilities(u, inp):
-    c, f = fock._amplitudes(u, inp)
+    occupations, c = fock._slos(u[:, fock._photon_modes(inp)])
+    f = [math.prod(math.factorial(k) for k in row) for row in occupations.tolist()]
     return np.abs(c) ** 2 * f / math.prod(math.factorial(k) for k in inp)
 
 
@@ -436,13 +444,14 @@ def test_slos_matches_per_state_permanents(inp):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
-@pytest.mark.parametrize("inp", [(2, 1), (1, 0, 2), (0, 3, 0, 0, 1), (0, 1) * 2 + (1, 0) * 4])
+@pytest.mark.parametrize(
+    "inp", [(3,), (2, 1), (12, 12), (1, 0, 2), (0, 3, 0, 0, 1), (0, 1) * 2 + (1, 0) * 4])
 def test_slos_chunk_size_changes_no_bit(monkeypatch, chunk, inp):
-    u = random_unitary(len(inp), 5)
-    c, f = fock._amplitudes(u, inp)
+    cols = random_unitary(len(inp), 5)[:, fock._photon_modes(inp)]
+    rows, c = fock._slos(cols)
     monkeypatch.setattr(fock, "SLOS_CHUNK", chunk)
-    c_chunked, f_chunked = fock._amplitudes(u, inp)
-    assert np.array_equal(c_chunked, c) and np.array_equal(f_chunked, f)
+    rows_chunked, c_chunked = fock._slos(cols)
+    assert np.array_equal(rows_chunked, rows) and np.array_equal(c_chunked, c)
 
 
 def test_full_distribution_makes_one_permanent_and_no_enumeration(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ def test_delay_config_validation():
         DelayConfig((0.0, 1.0), -2.0)
     with pytest.raises(ValueError):
         DelayConfig((), 1.0)
+
+
+# 4 sigma^2 underflows to 0 (or to a subnormal) or overflows to inf: the overlap would divide by it
+@pytest.mark.parametrize("sigma", [1e-320, 1e-155, 1e200])
+def test_delay_config_rejects_a_sigma_whose_square_is_not_normal(sigma):
+    with pytest.raises(ValueError, match=re.escape(f"sigma {sigma} is out of range")):
+        DelayConfig((0.0, 1.0), sigma)
+    assert DelayConfig((0.0, 1.0), 1e-154).sigma == 1e-154
 
 
 def test_default_sigma_matches_filter_math():

@@ -156,6 +156,13 @@ def test_size_limits():
         permanent_ryser(np.eye(31))
 
 
+# the true permanent 1e400 overflows: Glynn's sum gives inf - inf = nan, the naive sum inf
+@pytest.mark.parametrize("kernel", [permanent_naive, permanent_ryser])
+def test_overflowing_permanent_raises(kernel):
+    with pytest.raises(ValueError, match="the permanent overflows float64"):
+        kernel([[1e200, 0], [0, 1e200]])
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         permanent_naive(np.ones((2, 3)))
